@@ -147,17 +147,20 @@ func measureComponents(b *testing.B, prog *callcost.Program, cfg callcost.Config
 }
 
 // BenchmarkBatchAllocate measures the whole-program batch driver.
-// seq/dag are the wall time of AllocateProgramBatch with Workers=1 vs
-// Workers=4 (warm prep) — on a multi-core host their gap is the DAG
-// schedule's win; on this repo's single-core CI they necessarily tie,
+// seq/dag are the wall time of AllocateProgramBatch, interprocedural
+// costs off, with Workers=1 vs Workers=4 (warm prep) — on a multi-core
+// host their gap is the parallel schedule's win; on this repo's
+// single-core CI they necessarily tie,
 // so the dag cell additionally reports sched_speedup_x4: the ratio of
 // the summed per-component allocation times to the simulated 4-worker
 // list-schedule makespan over the real dependency DAG, using
 // individually measured component durations. That is the speedup the
 // schedule itself provides, gated like any other metric (higher is
 // better), independent of how many CPUs the measuring host has.
-// ready_peak (informational) is the peak ready-set width the program's
-// call graph exposed.
+// sched_speedup_x4 is computed from the call graph's component DAG
+// directly, so it does not depend on the driver's task rule. With
+// interprocedural costs off every function is an independent task, so
+// ready_peak (informational) is the program's function count.
 func BenchmarkBatchAllocate(b *testing.B) {
 	cfgRegs := callcost.NewConfig(8, 6, 4, 4)
 	// ear and li are the real benchmark shapes (narrow DAGs — most of

@@ -1,11 +1,16 @@
 package callcost_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro"
 	"repro/internal/benchprog"
+	"repro/internal/obs/obstest"
 	"repro/internal/randprog"
 	"repro/internal/telemetry"
 )
@@ -177,5 +182,78 @@ func TestBatchTelemetry(t *testing.T) {
 	}
 	if bs.SummaryHits == 0 {
 		t.Errorf("li consumed no summaries: %+v", bs)
+	}
+}
+
+// callersFirstSource defines every caller before its callees, so its
+// program order (main, mid, leaf) is the reverse of its call-graph
+// order.
+const callersFirstSource = `
+int main() {
+	int i; int acc = 0;
+	for (i = 0; i < 8; i = i + 1) { acc = acc + mid(i) + leaf(acc); }
+	return acc;
+}
+int mid(int x) { return leaf(x) * 2 + x; }
+int leaf(int x) { return x + 1; }
+`
+
+// TestTracedDriversFollowProgramOrder pins the driver's task rule for
+// traces: with interprocedural costs off, AllocateWithOptions and
+// AllocateProgramBatch trace every function in program order, and
+// their JSONL streams are identical apart from wall time. The program
+// defines callers first, so a driver that scheduled interproc-off runs
+// by the call graph would trace leaf first, as an interproc-on run
+// does.
+func TestTracedDriversFollowProgramOrder(t *testing.T) {
+	prog := callcost.MustCompile(callersFirstSource)
+	pf := prog.StaticFreq()
+	config := callcost.NewConfig(8, 6, 4, 4)
+	strat := callcost.ImprovedAll()
+	trace := func(run func(opts callcost.AllocOptions) error) (string, []string) {
+		t.Helper()
+		var buf bytes.Buffer
+		opts := callcost.WithTracer(callcost.DefaultAllocOptions(), callcost.NewJSONLSink(&buf))
+		opts.Parallel = 1
+		opts.NoPrepCache = true // every run starts cold, so prep-cache events agree
+		if err := run(opts); err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var ev struct{ Fn string }
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if len(order) == 0 || order[len(order)-1] != ev.Fn {
+				order = append(order, ev.Fn)
+			}
+		}
+		return obstest.Scrub(t, buf.Bytes()), order
+	}
+	batch := func(interproc bool) func(opts callcost.AllocOptions) error {
+		return func(opts callcost.AllocOptions) error {
+			_, _, err := prog.AllocateProgramBatch(strat, config, pf, opts,
+				callcost.BatchOptions{Interproc: interproc, Workers: 1})
+			return err
+		}
+	}
+	direct, directOrder := trace(func(opts callcost.AllocOptions) error {
+		_, err := prog.AllocateWithOptions(strat, config, pf, opts)
+		return err
+	})
+	batched, batchOrder := trace(batch(false))
+	_, interprocOrder := trace(batch(true))
+
+	want := []string{"main", "mid", "leaf"}
+	if !slices.Equal(directOrder, want) || !slices.Equal(batchOrder, want) {
+		t.Fatalf("traced function order: AllocateWithOptions %v, AllocateProgramBatch %v, want %v",
+			directOrder, batchOrder, want)
+	}
+	if direct != batched {
+		t.Fatalf("AllocateWithOptions and interproc-off AllocateProgramBatch traces differ:\n%s\nvs\n%s", direct, batched)
+	}
+	if slices.Equal(interprocOrder, want) {
+		t.Fatalf("interproc-on trace order %v follows program order; the program must define callers first", interprocOrder)
 	}
 }

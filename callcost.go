@@ -19,7 +19,6 @@
 package callcost
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -36,7 +35,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/minterp"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/priority"
 	"repro/internal/regalloc"
@@ -316,75 +314,45 @@ func (p *Program) Allocate(strat Strategy, config Config, pf *freq.ProgramFreq) 
 
 // AllocateWithOptions is Allocate with explicit framework options.
 //
-// Functions are allocated on a bounded worker pool (opts.Parallel
-// workers; 0 selects GOMAXPROCS, 1 forces sequential). Functions are
-// independent and every result lands in an index-addressed slot, so
-// Colors, SlotOf, and the assembly output are byte-identical to the
-// sequential path. A non-nil enabled Tracer forces the sequential path
-// so the event stream stays in program order, unless opts.TraceParallel
-// opts in to interleaved parallel tracing. Every emitted event carries
-// a monotonic per-run sequence number (Event.Seq). Round-0 artifacts
-// come from the program's prep cache unless opts.NoPrepCache is set.
+// It runs the whole-program driver of AllocateProgramBatch with
+// interprocedural costs off, so every function is an independent task,
+// dispatched in program order on a bounded worker pool (opts.Parallel
+// workers; 0 selects GOMAXPROCS, 1 forces sequential). Every result
+// lands in an index-addressed slot, so Colors, SlotOf, and the
+// assembly output are byte-identical to the sequential path. A non-nil
+// enabled Tracer forces one worker so the event stream stays in
+// program order, unless opts.TraceParallel opts in to interleaved
+// parallel tracing. Every emitted event carries a monotonic per-run
+// sequence number (Event.Seq). Round-0 artifacts come from the
+// program's prep cache unless opts.NoPrepCache is set.
 func (p *Program) AllocateWithOptions(strat Strategy, config Config, pf *freq.ProgramFreq, opts AllocOptions) (*Allocation, error) {
-	if !config.Valid() {
-		return nil, fmt.Errorf("callcost: configuration %s below the calling-convention minimum (%d,%d,0,0)",
-			config, machine.MinCallerInt, machine.MinCallerFloat)
-	}
-	a := &Allocation{
-		Program:  p,
-		Config:   config,
-		Strategy: strat.Name(),
-		Plans:    make(map[string]*rewrite.FuncPlan, len(p.IR.Funcs)),
-	}
-	var prep *PreparedProgram
+	a, _, err := p.allocate(strat, config, pf, opts, nil, opts.Parallel)
+	return a, err
+}
+
+// PlanFunc allocates one function of the program and builds its
+// save/restore plan — the per-function step of the whole-program
+// driver, and the compute side of a rallocd cache miss. Round-0
+// artifacts come from the program's prep cache unless opts.NoPrepCache
+// is set. The allocation is validated before its plan is built, and
+// the plan prunes call-site saves by opts.Interproc's callee summaries
+// when a table is attached.
+func (p *Program) PlanFunc(fn *ir.Func, ff *freq.FuncFreq, config Config, strat Strategy, opts AllocOptions) (*rewrite.FuncPlan, error) {
+	var pfn *pipeline.FuncCache
 	if !opts.NoPrepCache {
-		prep = p.Prepare()
+		pfn = p.Prepare().Func(fn.Name)
 	}
-	workers := opts.Parallel
-	if opts.Tracer != nil && opts.Tracer.Enabled() {
-		if !opts.TraceParallel {
-			workers = 1
-		}
-		// One sequencer per program run: every event gets a monotonic
-		// emission number, total across all functions of the run.
-		opts.Tracer = obs.NewSequencer(opts.Tracer)
+	if pfn == nil {
+		pfn = regalloc.Prepare(fn)
 	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	funcs := p.IR.Funcs
-	plans := make([]*rewrite.FuncPlan, len(funcs))
-	err := par.ForEachIndexedCtx(ctx, len(funcs), workers, func(i int) error {
-		fn := funcs[i]
-		ff := pf.ByFunc[fn.Name]
-		if ff == nil {
-			return fmt.Errorf("callcost: no frequency info for %s", fn.Name)
-		}
-		pfn := (*pipeline.FuncCache)(nil)
-		if prep != nil {
-			pfn = prep.Func(fn.Name)
-		}
-		if pfn == nil {
-			pfn = regalloc.Prepare(fn)
-		}
-		fa, err := regalloc.AllocatePrepared(pfn, ff, config, strat, rewrite.InsertSpills, opts)
-		if err != nil {
-			return err
-		}
-		if err := rewrite.Validate(fa); err != nil {
-			return fmt.Errorf("callcost: %s produced an invalid allocation: %w", strat.Name(), err)
-		}
-		plans[i] = rewrite.BuildPlan(fa)
-		return nil
-	})
+	fa, err := regalloc.AllocatePrepared(pfn, ff, config, strat, rewrite.InsertSpills, opts)
 	if err != nil {
 		return nil, err
 	}
-	for i, fn := range funcs {
-		a.Plans[fn.Name] = plans[i]
+	if err := rewrite.Validate(fa); err != nil {
+		return nil, fmt.Errorf("callcost: %s produced an invalid allocation: %w", strat.Name(), err)
 	}
-	return a, nil
+	return rewrite.BuildPlanInterproc(fa, opts.Interproc), nil
 }
 
 // Overhead computes the analytic register-allocation cost of the

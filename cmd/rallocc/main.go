@@ -17,7 +17,8 @@
 //	-trace     write the allocator's JSONL event log to a file
 //	-stats     print phase timings, decision counters, and the overhead breakdown
 //	-sweep     report overhead across the paper's register sweep
-//	-parallel  per-function allocation workers (0 = all cores, 1 = sequential)
+//	-parallel  allocation workers (0 = all cores, 1 = sequential); a task is
+//	           one function, or one call-graph component under -interproc
 //	-interproc whole-program batch allocation: callees first over the call
 //	           graph, callers consume realized callee-save summaries
 //	-noprepcache  rebuild round-0 artifacts per allocation instead of sharing them
@@ -65,7 +66,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write the JSONL allocator event log to `file`")
 	stats := flag.Bool("stats", false, "print phase timings and decision counters")
 	sweep := flag.Bool("sweep", false, "report overhead across the register sweep")
-	parallel := flag.Int("parallel", 0, "per-function allocation workers (0 = all cores, 1 = sequential); output is identical either way")
+	parallel := flag.Int("parallel", 0, "allocation workers, one task per function or per call-graph component under -interproc (0 = all cores, 1 = sequential); output is identical either way")
 	interproc := flag.Bool("interproc", false, "whole-program batch allocation with interprocedural callee-save costs (callees first over the call graph)")
 	noPrepCache := flag.Bool("noprepcache", false, "disable the shared round-0 prep cache, for A/B timing")
 	passes := flag.Bool("passes", false, "print the resolved allocation pass pipeline and exit")
@@ -272,22 +273,19 @@ func mainErr(path string, o options) error {
 	}
 	defer sk.close()
 	allocOpts := callcost.WithTracer(callcost.DefaultAllocOptions(), sk.tracer)
-	allocOpts.Parallel = o.parallel
 	allocOpts.NoPrepCache = o.noPrepCache
-	// The span recorder is order-independent (state keyed by function),
-	// so when it is the only sink attached, keep the parallel pool
-	// instead of letting the tracer force the sequential path. The
-	// ordered sinks (-explain, -trace, -stats) still force sequential.
+	// The span recorder is order-independent (state keyed by run and
+	// function), so when it is the only sink attached, keep the
+	// parallel pool instead of letting the tracer force the sequential
+	// path. The ordered sinks (-explain, -trace, -stats) still force
+	// sequential.
 	allocOpts.TraceParallel = o.spans != nil && !o.explain && o.traceFile == "" && !o.stats
 
-	var batchStats *callcost.BatchStats
+	var batchStats callcost.BatchStats
 	allocate := func(cfg callcost.Config) (*callcost.Allocation, error) {
-		if !o.interproc {
-			return prog.AllocateWithOptions(strat, cfg, pf, allocOpts)
-		}
 		a, bs, err := prog.AllocateProgramBatch(strat, cfg, pf, allocOpts,
-			callcost.BatchOptions{Interproc: true, Workers: o.parallel})
-		batchStats = &bs
+			callcost.BatchOptions{Interproc: o.interproc, Workers: o.parallel})
+		batchStats = bs
 		return a, err
 	}
 
@@ -338,7 +336,7 @@ func mainErr(path string, o options) error {
 		}
 	}
 	fmt.Printf("%-20s %s\n", "program", total)
-	if batchStats != nil {
+	if o.interproc {
 		fmt.Printf("\nbatch schedule: %d components (%d recursive), %d waves, ready peak %d; "+
 			"summaries consumed at %d/%d call sites\n",
 			batchStats.SCCs, batchStats.Recursive, batchStats.Waves, batchStats.ReadyPeak,

@@ -39,9 +39,6 @@ func (s RegSet) Has(r machine.PhysReg) bool { return s&(1<<uint(r)) != 0 }
 // Union returns s ∪ o.
 func (s RegSet) Union(o RegSet) RegSet { return s | o }
 
-// Empty reports whether the set is empty.
-func (s RegSet) Empty() bool { return s == 0 }
-
 // Count returns the cardinality.
 func (s RegSet) Count() int {
 	n := 0

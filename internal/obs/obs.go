@@ -181,6 +181,7 @@ const (
 type Event struct {
 	Kind  Kind
 	Seq   uint64   // monotonic per-run emission number (see Sequencer)
+	Run   uint64   // process-unique run id (see Sequencer); not serialized
 	Fn    string   // enclosing function
 	Phase string   // phase events: pipeline phase name
 	Round int      // allocation round (0-based)

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/telemetry"
 )
 
 // ErrDAGCycle reports that RunDAG's dependency lists contain a cycle,
@@ -26,19 +28,24 @@ type DAGStats struct {
 // honoring the dependency lists: task i starts only after every task
 // in deps[i] finished. Ready tasks are dispatched the moment their
 // last dependency completes — no wave barriers — so independent
-// subtrees of the DAG run concurrently. deps must be acyclic;
-// RunDAG returns ErrDAGCycle without running anything otherwise.
+// subtrees of the DAG run concurrently; tasks ready at the same time
+// start in index order. deps must be acyclic; RunDAG returns
+// ErrDAGCycle without running anything otherwise.
 //
-// workers <= 0 selects GOMAXPROCS via the underlying pool sizing;
-// workers == 1 executes ready tasks one at a time on one goroutine.
-// The first task error (lowest index among failures) is returned;
-// after any failure — or once ctx is done — remaining tasks are
-// released without running f, so the call always terminates promptly
-// and ctx.Err() is reported when no task failed first.
+// workers <= 0 selects GOMAXPROCS; workers == 1 executes ready tasks
+// one at a time on one goroutine. The error of the lowest-indexed
+// failing task is returned. After a failure no higher-indexed task
+// starts, no task whose dependency failed or was skipped starts, and
+// once ctx is done nothing starts at all; skipped tasks are still
+// released, so the call terminates promptly, and ctx.Err() is reported
+// when no task failed. When every dependency has a lower index than
+// its dependent — the call-graph component order, or no dependencies
+// at all — the returned error is therefore independent of the
+// schedule.
 //
-// Determinism contract (same as ForEachIndexed): f writes its result
-// into an index-addressed slot, so outputs are independent of the
-// schedule; only wall time changes.
+// Determinism contract: f writes its result into an index-addressed
+// slot, so outputs are independent of the schedule; only wall time
+// changes.
 func RunDAG(ctx context.Context, deps [][]int, workers int, f func(i int) error) (DAGStats, error) {
 	n := len(deps)
 	if n == 0 {
@@ -81,6 +88,11 @@ func RunDAG(ctx context.Context, deps [][]int, workers int, f func(i int) error)
 		}
 	}
 
+	b := telemetry.B()
+	if b != nil {
+		b.ParLoops.Inc()
+		b.ParTasks.Add(int64(n))
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -88,17 +100,20 @@ func RunDAG(ctx context.Context, deps [][]int, workers int, f func(i int) error)
 		workers = n
 	}
 
+	// Every task that a completion releases becomes ready in one step,
+	// so ReadyPeak sees a fan-out's full width before any worker can
+	// claim part of it.
 	ready := make(chan int, n)
 	var mu sync.Mutex
 	readyNow, readyPeak := 0, 0
-	enqueue := func(i int) {
+	enqueue := func(ts ...int) {
 		mu.Lock()
-		readyNow++
-		if readyNow > readyPeak {
-			readyPeak = readyNow
-		}
+		readyNow += len(ts)
+		readyPeak = max(readyPeak, readyNow)
 		mu.Unlock()
-		ready <- i
+		for _, i := range ts {
+			ready <- i
+		}
 	}
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
@@ -106,39 +121,53 @@ func RunDAG(ctx context.Context, deps [][]int, workers int, f func(i int) error)
 		}
 	}
 
+	// errs[i] is task i's error, or errSkipped when it did not run; a
+	// task starts only when all its dependencies' slots are nil.
 	errs := make([]error, n)
-	var failed atomic.Bool
+	lowestFailed := n // guarded by mu
 	var completed int32
-	done := ctx.Done()
 
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			var released []int
 			for i := range ready {
 				mu.Lock()
 				readyNow--
+				queued, run := readyNow, i < lowestFailed
 				mu.Unlock()
-				canceled := false
-				select {
-				case <-done:
-					canceled = true
-				default:
+				run = run && ctx.Err() == nil
+				for _, d := range deps[i] {
+					run = run && errs[d] == nil
 				}
-				if !canceled && !failed.Load() {
-					if errs[i] = f(i); errs[i] != nil {
-						failed.Store(true)
+				errs[i] = errSkipped
+				if run {
+					if b != nil {
+						b.ParQueueDepth.Set(int64(queued))
+						b.ParBusyWorkers.Add(1)
+					}
+					errs[i] = f(i)
+					if b != nil {
+						b.ParBusyWorkers.Add(-1)
+					}
+					if errs[i] != nil {
+						mu.Lock()
+						lowestFailed = min(lowestFailed, i)
+						mu.Unlock()
 					}
 				}
 				// Complete the task even when it was skipped or failed:
 				// dependents must flow through so every worker's range
 				// loop terminates.
+				released = released[:0]
 				for _, dep := range dependents[i] {
 					if atomic.AddInt32(&indeg[dep], -1) == 0 {
-						enqueue(dep)
+						released = append(released, dep)
 					}
 				}
+				enqueue(released...)
 				if atomic.AddInt32(&completed, 1) == int32(n) {
 					close(ready)
 				}
@@ -146,12 +175,18 @@ func RunDAG(ctx context.Context, deps [][]int, workers int, f func(i int) error)
 		}()
 	}
 	wg.Wait()
+	if b != nil {
+		b.ParQueueDepth.Set(0)
+	}
 
 	stats := DAGStats{ReadyPeak: readyPeak}
 	for _, err := range errs {
-		if err != nil {
+		if err != nil && err != errSkipped {
 			return stats, err
 		}
 	}
 	return stats, ctx.Err()
 }
+
+// errSkipped marks a task RunDAG released without running.
+var errSkipped = errors.New("par: task skipped")

@@ -1,6 +1,7 @@
 // Package par provides the bounded concurrency primitives shared by
 // the allocator driver, the experiment harness, and the allocation
-// daemon: an index-parallel loop (ForEachIndexed) and a server-grade
+// daemon: a dependency-aware task scheduler (RunDAG), the
+// index-parallel loop built on it (ForEachIndexed), and a server-grade
 // worker pool with a bounded admission queue (Pool).
 package par
 
@@ -9,16 +10,15 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
 
 // ForEachIndexed runs f(0)..f(n-1) on a bounded worker pool and returns
-// the error of the lowest-indexed failing call, or nil. workers <= 0
-// selects GOMAXPROCS; workers == 1 degenerates to a plain sequential
-// loop on the calling goroutine (with its early-exit-on-error
-// behavior).
+// the error of the lowest-indexed failing call, or nil. It is RunDAG
+// over n tasks with no dependencies: workers <= 0 selects GOMAXPROCS,
+// workers == 1 runs the calls one at a time in index order, and once a
+// call fails no higher index starts.
 //
 // Determinism contract: f writes its result into an index-addressed
 // slot of a caller-owned slice, never appends to shared state, so the
@@ -26,103 +26,8 @@ import (
 // scheduling — only wall time changes. Callers print or merge strictly
 // after ForEachIndexed returns.
 func ForEachIndexed(n, workers int, f func(i int) error) error {
-	return ForEachIndexedCtx(context.Background(), n, workers, f)
-}
-
-// ForEachIndexedCtx is ForEachIndexed with cancellation: once ctx is
-// done, no further indices are dispatched — queued work is abandoned,
-// tasks already running finish — and the loop returns ctx.Err()
-// unless an earlier-indexed task failed first (task errors keep
-// priority, reported by lowest index; ctx.Err() slots in at the first
-// undispatched index). The sequential path checks ctx between
-// iterations.
-func ForEachIndexedCtx(ctx context.Context, n, workers int, f func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	b := telemetry.B()
-	if b != nil {
-		b.ParLoops.Inc()
-		b.ParTasks.Add(int64(n))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	done := ctx.Done()
-	errs := make([]error, n)
-	var canceledAt atomic.Int64 // first index not dispatched due to cancellation; n+1 = none
-	canceledAt.Store(int64(n + 1))
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				select {
-				case <-done:
-					// Record the earliest abandoned index so the
-					// returned error respects index priority.
-					for {
-						old := canceledAt.Load()
-						if int64(i) >= old || canceledAt.CompareAndSwap(old, int64(i)) {
-							return
-						}
-					}
-				default:
-				}
-				if b != nil {
-					// Unclaimed tasks = n minus the claim counter; the
-					// gauges expose pool utilization mid-sweep.
-					if left := int64(n) - atomic.LoadInt64(&next); left > 0 {
-						b.ParQueueDepth.Set(left)
-					} else {
-						b.ParQueueDepth.Set(0)
-					}
-					b.ParBusyWorkers.Add(1)
-				}
-				errs[i] = f(i)
-				if b != nil {
-					b.ParBusyWorkers.Add(-1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b != nil {
-		b.ParQueueDepth.Set(0)
-	}
-	stop := int(canceledAt.Load())
-	for i, err := range errs {
-		if i >= stop {
-			break
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if stop <= n {
-		return ctx.Err()
-	}
-	return nil
+	_, err := RunDAG(context.Background(), make([][]int, n), workers, f)
+	return err
 }
 
 // ---------------------------------------------------------------------

@@ -8,64 +8,6 @@ import (
 	"time"
 )
 
-// TestForEachIndexedCtxCancelStopsDispatch: once the context is
-// canceled, no further queued indices are dispatched, and the loop
-// reports the cancellation. A gate holds the first tasks mid-run so
-// the cancellation provably lands while work is still queued.
-func TestForEachIndexedCtxCancelStopsDispatch(t *testing.T) {
-	const n, workers = 1000, 4
-	ctx, cancel := context.WithCancel(context.Background())
-	var dispatched atomic.Int64
-	started := make(chan struct{}, n)
-	gate := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- ForEachIndexedCtx(ctx, n, workers, func(i int) error {
-			dispatched.Add(1)
-			started <- struct{}{}
-			<-gate
-			return nil
-		})
-	}()
-	// Let every worker pick up one task, then cancel while the rest of
-	// the indices are still undispatched.
-	for i := 0; i < workers; i++ {
-		<-started
-	}
-	cancel()
-	close(gate)
-	err := <-done
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// The running tasks finish; nothing new starts after cancel. Give
-	// racing claims a generous allowance: at most one extra claim per
-	// worker could have passed the ctx check before cancel landed.
-	if d := dispatched.Load(); d >= n/2 {
-		t.Fatalf("dispatched %d of %d tasks after cancellation", d, n)
-	}
-}
-
-// TestForEachIndexedCtxSequentialCancel: the workers==1 path checks the
-// context between iterations.
-func TestForEachIndexedCtxSequentialCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	ran := 0
-	err := ForEachIndexedCtx(ctx, 100, 1, func(i int) error {
-		ran++
-		if i == 4 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran != 5 {
-		t.Fatalf("ran %d tasks, want 5", ran)
-	}
-}
-
 // TestForEachIndexedErrorPriority: the lowest-indexed task error wins
 // over a later cancellation.
 func TestForEachIndexedErrorPriority(t *testing.T) {

@@ -155,19 +155,14 @@ func (p coalescePass) Run(s *pipeline.State) error {
 	return nil
 }
 
-// RangesPass runs the live-range cost/benefit analysis over this
+// RangesCostPass runs the live-range cost/benefit analysis over this
 // round's working graphs. When the round is served from the shared
 // round-0 artifacts the analysis comes from the shared per-frequency
-// cache as well.
-func RangesPass() pipeline.Pass { return rangesPass{} }
-
-// RangesCostPass is RangesPass under an interprocedural summary table:
-// call-site caller-save costs come from the callees' published clobber
-// summaries instead of the paper's static estimate. A non-nil table
-// also bypasses the shared per-frequency range cache — the cached
-// analysis was computed with static costs, and summary tables are
-// per-batch-run state that must not leak between programs. Nil is
-// exactly RangesPass.
+// cache as well. A non-nil interprocedural summary table cc replaces
+// the paper's static call-site caller-save estimate with the callees'
+// published clobber summaries, and bypasses that shared cache — the
+// cached analysis was computed with static costs, and summary tables
+// are per-batch-run state that must not leak between programs.
 func RangesCostPass(cc *interproc.Table) pipeline.Pass { return rangesPass{cc: cc} }
 
 type rangesPass struct{ cc *interproc.Table }

@@ -703,19 +703,21 @@ type Options struct {
 	MaxRounds int
 	// Ctx, when non-nil, bounds the allocation with a deadline or
 	// cancellation: the pipeline runner polls it between passes and
-	// the per-function driver loop checks it before dispatching each
-	// function, so a canceled request stops consuming CPU at the next
-	// pass boundary. Nil — the default — costs one nil check per pass.
+	// the whole-program driver checks it before starting each task, so
+	// a canceled request stops consuming CPU at the next pass
+	// boundary. Nil — the default — costs one nil check per pass.
 	Ctx context.Context
 	// Tracer receives decision events and phase timings (package obs).
 	// Nil — the default — disables tracing; every emission site is
 	// guarded, so the untraced path adds no work and no allocations.
 	Tracer obs.Tracer
-	// Parallel bounds the per-function worker pool used by
-	// Program.AllocateWithOptions: 0 selects GOMAXPROCS, 1 forces the
-	// sequential path, n > 1 caps the pool at n. Output is
-	// byte-identical either way; a non-nil Tracer forces sequential so
-	// the event stream stays in program order (see TraceParallel).
+	// Parallel bounds the worker pool of Program.AllocateWithOptions,
+	// which runs the whole-program driver with one task per function:
+	// 0 selects GOMAXPROCS, 1 forces the sequential path, n > 1 caps
+	// the pool at n. Output is byte-identical either way; a non-nil Tracer forces
+	// sequential so the event stream stays in program order (see
+	// TraceParallel). Program.AllocateProgramBatch ignores it and reads
+	// BatchOptions.Workers instead.
 	Parallel int
 	// TraceParallel keeps the Parallel worker pool even when a Tracer
 	// is attached. Events from different functions then interleave in
@@ -787,9 +789,6 @@ type FuncAlloc struct {
 	// graph coloring). Always false for single-tier strategies.
 	Escalated bool
 }
-
-// ColorOf returns the physical register of virtual register r.
-func (fa *FuncAlloc) ColorOf(r ir.Reg) machine.PhysReg { return fa.Colors[r] }
 
 // SpillInserter abstracts the spill-code insertion phase; it lives in
 // package rewrite and is injected here to keep the framework free of a

@@ -45,7 +45,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/par"
-	"repro/internal/regalloc"
 	"repro/internal/resultcache"
 	"repro/internal/rewrite"
 	"repro/internal/telemetry"
@@ -389,9 +388,6 @@ func statusOf(err error) int {
 	}
 }
 
-// run executes one allocation request on the calling goroutine (a pool
-// worker). It is the request core: resolve inputs, consult the
-// content-addressed cache per function, color what misses.
 // resolved is a request with every input validated and constructed:
 // the program, configuration, strategy, frequency table, and
 // framework options.
@@ -454,6 +450,9 @@ func ReferenceResult(req *Request) (*Result, error) {
 	return RenderResult(a, rv.pf), nil
 }
 
+// run executes one allocation request on the calling goroutine (a pool
+// worker). It is the request core: resolve inputs, consult the
+// content-addressed cache per function, color what misses.
 func (s *Server) run(ctx context.Context, req *Request) (*Response, error) {
 	rv, err := resolveAll(ctx, req)
 	if err != nil {
@@ -461,28 +460,33 @@ func (s *Server) run(ctx context.Context, req *Request) (*Response, error) {
 	}
 	prog, config, strat, pf, opts := rv.prog, rv.config, rv.strat, rv.pf, rv.opts
 
-	if req.Trace {
-		// Traced requests bypass the cache — a cached plan has no event
-		// stream to replay — and run sequentially so the JSONL stays in
-		// program order. When a span recorder is attached, the traced
-		// request also feeds /spans.
+	if req.Trace || req.NoCache {
+		// Uncached requests run the in-process driver on this worker
+		// alone: one request, one pool worker. Traced requests bypass
+		// the cache too — a cached plan has no event stream to replay —
+		// and the one worker keeps the JSONL in program order. When a
+		// span recorder is attached, the traced request also feeds
+		// /spans.
+		opts.Parallel = 1
 		var buf bytes.Buffer
-		var tracer callcost.Tracer = callcost.NewJSONLSink(&buf)
-		if s.spans != nil {
-			tracer = callcost.MultiSink(tracer, s.spans)
+		if req.Trace {
+			var tracer callcost.Tracer = callcost.NewJSONLSink(&buf)
+			if s.spans != nil {
+				tracer = callcost.MultiSink(tracer, s.spans)
+			}
+			opts = callcost.WithTracer(opts, tracer)
 		}
-		a, aerr := prog.AllocateWithOptions(strat, config, pf, callcost.WithTracer(opts, tracer))
+		a, aerr := prog.AllocateWithOptions(strat, config, pf, opts)
 		if aerr != nil {
 			return nil, aerr
 		}
-		if s.spans != nil {
+		if req.Trace && s.spans != nil {
 			s.spans.Flush()
 		}
 		return &Response{Result: RenderResult(a, pf), CacheMisses: len(prog.IR.Funcs), Trace: buf.String()}, nil
 	}
 
 	pipeNames := pipelineNames(strat, opts)
-	prep := prog.Prepare()
 	plans := make(map[string]*rewrite.FuncPlan, len(prog.IR.Funcs))
 	hits, misses := 0, 0
 	for _, fn := range prog.IR.Funcs {
@@ -493,18 +497,24 @@ func (s *Server) run(ctx context.Context, req *Request) (*Response, error) {
 		if ff == nil {
 			return nil, fmt.Errorf("no frequency info for %s", fn.Name)
 		}
-		compute := func() (*rewrite.FuncPlan, error) { return allocateFunc(prep, fn, ff, config, strat, opts) }
-		var plan *rewrite.FuncPlan
-		var hit bool
-		if req.NoCache {
-			plan, err = compute()
-		} else {
-			key, kerr := resultcache.KeyFor(fn, ff, config, strat.Name(), pipeNames)
-			if kerr != nil {
-				return nil, kerr
-			}
-			plan, hit, err = s.cache.Do(key, compute)
+		key, kerr := resultcache.KeyFor(fn, ff, config, strat.Name(), pipeNames)
+		if kerr != nil {
+			return nil, kerr
 		}
+		plan, hit, err := s.cache.Do(key, func() (*rewrite.FuncPlan, error) {
+			plan, err := prog.PlanFunc(fn, ff, config, strat, opts)
+			if err != nil {
+				return nil, err
+			}
+			// The cached plan keeps only what rendering needs (the
+			// rewritten body, colors, slots, save/restore tables); the
+			// per-round analysis artifacts are dropped so resident
+			// entries stay small.
+			plan.Alloc.Ranges = nil
+			plan.Alloc.Live = nil
+			plan.Alloc.Graphs = [ir.NumClasses]*interference.Graph{}
+			return plan, nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -517,31 +527,6 @@ func (s *Server) run(ctx context.Context, req *Request) (*Response, error) {
 	}
 	a := &callcost.Allocation{Program: prog, Config: config, Strategy: strat.Name(), Plans: plans}
 	return &Response{Result: RenderResult(a, pf), CacheHits: hits, CacheMisses: misses}, nil
-}
-
-// allocateFunc colors one function and builds its plan — the compute
-// side of a cache miss. The cached plan keeps only what rendering
-// needs (the rewritten body, colors, slots, save/restore tables); the
-// per-round analysis artifacts are dropped so resident entries stay
-// small.
-func allocateFunc(prep *callcost.PreparedProgram, fn *ir.Func, ff *freq.FuncFreq,
-	config machine.Config, strat callcost.Strategy, opts callcost.AllocOptions) (*rewrite.FuncPlan, error) {
-	pfn := prep.Func(fn.Name)
-	if pfn == nil {
-		pfn = regalloc.Prepare(fn)
-	}
-	fa, err := regalloc.AllocatePrepared(pfn, ff, config, strat, rewrite.InsertSpills, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := rewrite.Validate(fa); err != nil {
-		return nil, fmt.Errorf("%s produced an invalid allocation: %w", strat.Name(), err)
-	}
-	plan := rewrite.BuildPlan(fa)
-	plan.Alloc.Ranges = nil
-	plan.Alloc.Live = nil
-	plan.Alloc.Graphs = [ir.NumClasses]*interference.Graph{}
-	return plan, nil
 }
 
 // resolve validates the request's program, configuration, and strategy.

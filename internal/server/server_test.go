@@ -261,30 +261,46 @@ func TestRequestDeadline(t *testing.T) {
 	t.Skip("allocation always beat the 1ms deadline; cannot exercise 504 on this machine")
 }
 
+// TestBatchEndpoint checks per-item status and the cache accounting of
+// a batch whose item 2 repeats item 0. On a 1-worker server the batch
+// owns the only worker, so no helper joins, items run in order, and
+// the repeat is a full cache hit. On a 4-worker server idle workers may
+// run the pair at the same time; the result cache's singleflight then
+// still colors each function once, so over the pair every function is
+// one miss and one hit, whichever item led.
 func TestBatchEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
 	bad := allocReq()
 	bad.Strategy = "magic"
-	code, body := post(t, ts.URL+"/batch", []Request{allocReq(), bad, allocReq()})
-	if code != 200 {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	var items []BatchItem
-	if err := json.Unmarshal(body, &items); err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != 3 {
-		t.Fatalf("%d items, want 3", len(items))
-	}
-	if items[0].Status != 200 || items[2].Status != 200 {
-		t.Fatalf("good items: %+v %+v", items[0], items[2])
-	}
-	if items[1].Status != http.StatusBadRequest || items[1].Error == "" {
-		t.Fatalf("bad item: %+v", items[1])
-	}
-	// Item 2 repeats item 0 within one batch: full cache hit.
-	if items[2].Response.CacheHits != 3 {
-		t.Fatalf("repeat item hits = %d, want 3", items[2].Response.CacheHits)
+	batch := []Request{allocReq(), bad, allocReq()}
+	for _, workers := range []int{1, 4} {
+		_, ts := newTestServer(t, Options{Workers: workers})
+		code, body := post(t, ts.URL+"/batch", batch)
+		if code != 200 {
+			t.Fatalf("%d workers: status %d: %s", workers, code, body)
+		}
+		var items []BatchItem
+		if err := json.Unmarshal(body, &items); err != nil {
+			t.Fatal(err)
+		}
+		if len(items) != 3 {
+			t.Fatalf("%d workers: %d items, want 3", workers, len(items))
+		}
+		if items[0].Status != 200 || items[2].Status != 200 {
+			t.Fatalf("%d workers: good items: %+v %+v", workers, items[0], items[2])
+		}
+		if items[1].Status != http.StatusBadRequest || items[1].Error == "" {
+			t.Fatalf("%d workers: bad item: %+v", workers, items[1])
+		}
+		first, repeat := items[0].Response, items[2].Response
+		if workers == 1 {
+			if repeat.CacheHits != 3 {
+				t.Fatalf("1 worker: repeat item hits = %d, want 3", repeat.CacheHits)
+			}
+			continue
+		}
+		if hits, misses := first.CacheHits+repeat.CacheHits, first.CacheMisses+repeat.CacheMisses; hits != 3 || misses != 3 {
+			t.Fatalf("%d workers: pair hits/misses = %d/%d, want 3/3", workers, hits, misses)
+		}
 	}
 }
 

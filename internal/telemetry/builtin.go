@@ -97,13 +97,15 @@ type Builtin struct {
 
 	// Worker pool (internal/par).
 
-	// ParLoops counts ForEachIndexed invocations (par_loops_total);
-	// ParTasks the tasks they executed (par_tasks_total).
+	// ParLoops counts par.RunDAG invocations — every whole-program
+	// allocation and every ForEachIndexed loop (par_loops_total);
+	// ParTasks the tasks they scheduled (par_tasks_total).
 	ParLoops, ParTasks *Counter
-	// ParQueueDepth is the number of tasks not yet claimed by a worker
-	// in the most recent loop (par_queue_depth); ParBusyWorkers the
-	// number of workers currently executing a task (par_busy_workers).
-	// Together they expose utilization during a sweep.
+	// ParQueueDepth is the number of ready tasks not yet claimed by a
+	// worker in the most recent loop (par_queue_depth); ParBusyWorkers
+	// the number of workers currently executing a task
+	// (par_busy_workers). Together they expose utilization during a
+	// sweep.
 	ParQueueDepth, ParBusyWorkers *Gauge
 
 	// Whole-program batch driver (callcost.AllocateProgramBatch).

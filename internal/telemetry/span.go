@@ -53,10 +53,11 @@ func (s Span) MarshalJSON() ([]byte, error) {
 		s.Start.Format(time.RFC3339Nano), float64(s.Dur.Nanoseconds()) / 1e3})
 }
 
-// openFn is the in-flight span state of one function. Events of one
-// function are emitted by a single goroutine in pipeline order, so this
-// state machine is sequential per function; the recorder's mutex makes
-// interleaved functions (Options.TraceParallel) safe.
+// openFn is the in-flight span state of one function of one run.
+// Events of one function are emitted by a single goroutine in pipeline
+// order, so this state machine is sequential per function; the
+// recorder's mutex makes interleaved functions (Options.TraceParallel)
+// and concurrent runs safe.
 type openFn struct {
 	span      Span
 	round     Span
@@ -64,6 +65,12 @@ type openFn struct {
 	pass      Span
 	passOpen  bool
 	last      time.Time
+}
+
+// fnKey identifies one function of one allocation run.
+type fnKey struct {
+	run uint64
+	fn  string
 }
 
 // DefaultSpanCapacity bounds the completed-span ring buffer of a
@@ -78,15 +85,17 @@ const DefaultSpanCapacity = 4096
 // endpoint serves it); Flush closes whatever is still open at the end
 // of a run.
 //
-// The recorder is safe for concurrent emission: state is keyed by
-// function, and one function's events always come from one goroutine.
+// The recorder is safe for concurrent emission: state is keyed by run
+// (obs.Event.Run) and function, and one function's events always come
+// from one goroutine, so concurrent runs that allocate functions of the
+// same name keep separate spans.
 type SpanRecorder struct {
 	mu      sync.Mutex
 	nextID  uint64
 	program Span
 	open    bool
-	fns     map[string]*openFn
-	order   []string // function discovery order, for Flush determinism
+	fns     map[fnKey]*openFn
+	order   []fnKey // function discovery order, for Flush determinism
 
 	ring  []Span
 	head  int
@@ -100,7 +109,7 @@ func NewSpanRecorder(capacity int) *SpanRecorder {
 		capacity = DefaultSpanCapacity
 	}
 	return &SpanRecorder{
-		fns:  make(map[string]*openFn),
+		fns:  make(map[fnKey]*openFn),
 		ring: make([]Span, 0, capacity),
 	}
 }
@@ -117,14 +126,15 @@ func (r *SpanRecorder) Emit(ev obs.Event) {
 		r.program = Span{ID: r.id(), Kind: SpanProgram, Name: "allocation", Start: now}
 		r.open = true
 	}
-	f := r.fns[ev.Fn]
+	key := fnKey{ev.Run, ev.Fn}
+	f := r.fns[key]
 	if f == nil {
 		f = &openFn{span: Span{
 			ID: r.id(), Parent: r.program.ID, Kind: SpanFunction,
 			Name: ev.Fn, Fn: ev.Fn, Seq: ev.Seq, Start: now,
 		}}
-		r.fns[ev.Fn] = f
-		r.order = append(r.order, ev.Fn)
+		r.fns[key] = f
+		r.order = append(r.order, key)
 	}
 	f.last = now
 	switch ev.Kind {
@@ -166,8 +176,8 @@ func (r *SpanRecorder) Flush() {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, name := range r.order {
-		f := r.fns[name]
+	for _, key := range r.order {
+		f := r.fns[key]
 		if f.passOpen {
 			r.finish(f.pass, now)
 		}
@@ -179,7 +189,7 @@ func (r *SpanRecorder) Flush() {
 	if r.open {
 		r.finish(r.program, now)
 	}
-	r.fns = make(map[string]*openFn)
+	r.fns = make(map[fnKey]*openFn)
 	r.order = nil
 	r.open = false
 }

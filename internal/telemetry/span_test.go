@@ -104,6 +104,27 @@ func TestSpanRecorderConcurrentFunctions(t *testing.T) {
 	}
 }
 
+// TestSpanRecorderSeparatesRuns interleaves two runs that allocate a
+// function of the same name, as the parallel cells of an experiment
+// sweep do: with state keyed by (run, function), each run keeps its own
+// open pass instead of closing the other's.
+func TestSpanRecorderSeparatesRuns(t *testing.T) {
+	r := NewSpanRecorder(0)
+	for _, kind := range []obs.Kind{obs.KindPhaseStart, obs.KindPhaseEnd} {
+		for run := uint64(1); run <= 2; run++ {
+			r.Emit(obs.Event{Kind: kind, Run: run, Fn: "main", Phase: obs.PhaseColor, Dur: time.Millisecond})
+		}
+	}
+	r.Flush()
+	count := map[string]int{}
+	for _, sp := range r.Spans() {
+		count[sp.Kind]++
+	}
+	if count[SpanFunction] != 2 || count[SpanPass] != 2 {
+		t.Fatalf("function/pass spans = %d/%d, want 2/2", count[SpanFunction], count[SpanPass])
+	}
+}
+
 func TestSpanRingEviction(t *testing.T) {
 	r := NewSpanRecorder(4)
 	emitRun(r, "f", 3) // 6 pass spans complete during the run

@@ -66,6 +66,9 @@ func TestTelemetryParallelCountsMatchSequential(t *testing.T) {
 			if seqCounts["alloc_spilled_regs_total"] == 0 {
 				t.Errorf("benchprog %s never spills at (6,4,0,0) — stress run too easy", p.Name)
 			}
+			if seqCounts["par_tasks_total"] == 0 {
+				t.Errorf("par_tasks_total = 0: the driver's tasks never reached the par instruments")
+			}
 			for _, name := range deterministic {
 				if seqCounts[name] != parCounts[name] {
 					t.Errorf("%s: sequential %d vs parallel %d", name, seqCounts[name], parCounts[name])
