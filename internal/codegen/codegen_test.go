@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/regalloc"
+	"repro/internal/rewrite"
 )
 
 const src = `
@@ -175,6 +178,8 @@ func TestRegNames(t *testing.T) {
 		{ir.ClassFloat, 0, "$ft0"},
 		{ir.ClassFloat, 4, "$fs0"},
 		{ir.ClassFloat, 5, "$fs1"},
+		{ir.ClassInt, machine.NoPhysReg, "$t-1"},
+		{ir.ClassFloat, machine.NoPhysReg, "$ft-1"},
 	}
 	for _, tc := range cases {
 		if got := codegen.RegName(cfg, tc.class, tc.pr); got != tc.want {
@@ -229,3 +234,84 @@ int main() {
 		t.Errorf("improved uses %d callee saves, base %d; expected fewer", i, b)
 	}
 }
+
+// TestRareForms pins the text of forms the benchmark suite never
+// emits: a nop, a frame array, special float constants, the extreme
+// int constant, an unassigned register and a color past its bank.
+func TestRareForms(t *testing.T) {
+	fn := &ir.Func{Name: "rare", HasResult: true, ResultClass: ir.ClassFloat}
+	i0 := fn.NewReg(ir.ClassInt, "i")
+	f0 := fn.NewReg(ir.ClassFloat, "x")
+	f1 := fn.NewReg(ir.ClassFloat, "")
+	i1 := fn.NewReg(ir.ClassInt, "")
+	fn.Params = []ir.Reg{i0}
+	arr := &ir.Symbol{Name: "frame", Class: ir.ClassFloat, Size: 4, Local: true}
+	fn.Locals = []*ir.Symbol{arr}
+	fn.NewBlock().Instrs = []ir.Instr{
+		{Op: ir.OpNop, Dst: ir.NoReg},
+		{Op: ir.OpConstFloat, Dst: f0, FloatVal: math.Inf(1)},
+		{Op: ir.OpConstFloat, Dst: f0, FloatVal: math.Inf(-1)},
+		{Op: ir.OpConstFloat, Dst: f0, FloatVal: math.NaN()},
+		{Op: ir.OpConstFloat, Dst: f0, FloatVal: math.Copysign(0, -1)},
+		{Op: ir.OpConstFloat, Dst: f0, FloatVal: 1e21},
+		{Op: ir.OpConstFloat, Dst: f0, FloatVal: 1.0 / 3},
+		{Op: ir.OpConstInt, Dst: i1, IntVal: math.MinInt64},
+		{Op: ir.OpStore, Dst: ir.NoReg, Args: []ir.Reg{i0, f0}, Sym: arr},
+		{Op: ir.OpLoad, Dst: f1, Args: []ir.Reg{i1}, Sym: arr},
+		{Op: ir.OpRet, Dst: ir.NoReg, Args: []ir.Reg{f1}},
+	}
+	plan := &rewrite.FuncPlan{
+		Alloc:      &regalloc.FuncAlloc{Fn: fn, Colors: []machine.PhysReg{0, 5, machine.NoPhysReg, 9}},
+		CalleeUsed: [ir.NumClasses][]machine.PhysReg{{6, 7}, {4}},
+	}
+	prog := &ir.Program{Globals: []*ir.Symbol{
+		{Name: "big", Class: ir.ClassFloat, InitFloat: math.Inf(1)},
+		{Name: "small", Class: ir.ClassFloat, InitFloat: 5e-324},
+		{Name: "neg", Class: ir.ClassInt, InitInt: -3},
+		{Name: "grid", Class: ir.ClassFloat, Size: 3},
+	}}
+	got := codegen.Program(prog, map[string]*rewrite.FuncPlan{"rare": plan}, machine.NewConfig(6, 4, 2, 2))
+	if got != rareFormsWant {
+		t.Errorf("assembly differs:\n--- got ---\n%s--- want ---\n%s", got, rareFormsWant)
+	}
+}
+
+const rareFormsWant = `	.data
+big:	.float +Inf
+small:	.float 5e-324
+neg:	.word -3
+grid:	.space 12	# float[3]
+
+	.text
+	.globl rare
+rare:
+	addiu $sp, $sp, -32
+	sw $ra, 28($sp)
+	sw $s0, 16($sp)	# callee-save
+	sw $s1, 20($sp)	# callee-save
+	s.s $fs0, 24($sp)	# callee-save
+	move $t0, $a0
+.Lrare_0:
+	nop
+	li.s $fs1, +Inf
+	li.s $fs1, -Inf
+	li.s $fs1, NaN
+	li.s $fs1, -0
+	li.s $fs1, 1e+21
+	li.s $fs1, 0.3333333333333333
+	li $s3, -9223372036854775808
+	sll $at, $t0, 2
+	addu $at, $at, $sp
+	s.s $fs1, 0($at)
+	sll $at, $s3, 2
+	addu $at, $at, $sp
+	l.s $ft-1, 0($at)
+	mov.s $fv0, $ft-1
+	lw $s0, 16($sp)	# callee-restore
+	lw $s1, 20($sp)	# callee-restore
+	l.s $fs0, 24($sp)	# callee-restore
+	lw $ra, 28($sp)
+	addiu $sp, $sp, 32
+	jr $ra
+
+`

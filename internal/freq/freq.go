@@ -54,11 +54,8 @@ func FromProfile(p *ir.Program, prof *interp.Profile) *ProgramFreq {
 func Static(p *ir.Program) *ProgramFreq {
 	// Per-invocation local block frequencies.
 	local := make(map[string][]float64, len(p.Funcs))
-	graphs := make(map[string]*cfg.Graph, len(p.Funcs))
 	for _, fn := range p.Funcs {
-		g := cfg.New(fn)
-		graphs[fn.Name] = g
-		local[fn.Name] = localFrequencies(fn, g)
+		local[fn.Name] = localFrequencies(fn, cfg.New(fn))
 	}
 
 	// Interprocedural entry counts: main runs once; each call site
@@ -141,14 +138,14 @@ func localFrequencies(fn *ir.Func, g *cfg.Graph) []float64 {
 	n := len(fn.Blocks)
 	w := make([]float64, n)
 
-	// Edge probabilities from each block.
-	prob := make(map[[2]int]float64)
+	// succProb[b][i] is the probability of the edge to g.Succs[b][i].
+	succProb := make([][2]float64, n)
 	for _, b := range fn.Blocks {
 		succs := g.Succs[b.ID]
 		switch len(succs) {
 		case 0:
 		case 1:
-			prob[[2]int{b.ID, succs[0]}] = 1
+			succProb[b.ID][0] = 1
 		default:
 			s0, s1 := succs[0], succs[1]
 			back0 := g.Dominates(s0, b.ID)
@@ -159,15 +156,28 @@ func localFrequencies(fn *ir.Func, g *cfg.Graph) []float64 {
 			exit1 := g.LoopDepth[s1] < g.LoopDepth[b.ID]
 			switch {
 			case back0 && !back1, exit1 && !exit0:
-				prob[[2]int{b.ID, s0}] = backEdgeProb
-				prob[[2]int{b.ID, s1}] = 1 - backEdgeProb
+				succProb[b.ID] = [2]float64{backEdgeProb, 1 - backEdgeProb}
 			case back1 && !back0, exit0 && !exit1:
-				prob[[2]int{b.ID, s1}] = backEdgeProb
-				prob[[2]int{b.ID, s0}] = 1 - backEdgeProb
+				succProb[b.ID] = [2]float64{1 - backEdgeProb, backEdgeProb}
 			default:
-				prob[[2]int{b.ID, s0}] = 0.5
-				prob[[2]int{b.ID, s1}] = 0.5
+				succProb[b.ID] = [2]float64{0.5, 0.5}
 			}
+		}
+	}
+	// The same probabilities per incoming edge: predProb[predOff[b]+k]
+	// weighs the edge from g.Preds[b][k].
+	predOff := make([]int, n+1)
+	for b, preds := range g.Preds {
+		predOff[b+1] = predOff[b] + len(preds)
+	}
+	predProb := make([]float64, predOff[n])
+	for b, preds := range g.Preds {
+		for k, p := range preds {
+			i := 0
+			if g.Succs[p][0] != b {
+				i = 1
+			}
+			predProb[predOff[b]+k] = succProb[p][i]
 		}
 	}
 
@@ -178,8 +188,8 @@ func localFrequencies(fn *ir.Func, g *cfg.Graph) []float64 {
 			if id == 0 {
 				nw = 1
 			}
-			for _, p := range g.Preds[id] {
-				nw += w[p] * prob[[2]int{p, id}]
+			for k, p := range g.Preds[id] {
+				nw += w[p] * predProb[predOff[id]+k]
 			}
 			d := nw - w[id]
 			if d < 0 {

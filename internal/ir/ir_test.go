@@ -62,6 +62,30 @@ func TestValidateCatchesProblems(t *testing.T) {
 			sym := &Symbol{Name: "arr", Class: ClassInt, Size: 8}
 			f.Blocks[0].Instrs[0] = Instr{Op: OpLoad, Dst: f.Blocks[0].Instrs[0].Dst, Sym: sym, Args: []Reg{}}
 		}, "operands"},
+		// Operands every opcode is checked for, and malformed shapes
+		// whose error message must not index missing operands.
+		{"nop with dst out of range", func(f *Func) {
+			f.Blocks[0].Instrs = append([]Instr{{Op: OpNop, Dst: Reg(34)}}, f.Blocks[0].Instrs...)
+		}, "v34 out of range"},
+		{"nop with arg out of range", func(f *Func) {
+			f.Blocks[0].Instrs = append([]Instr{{Op: OpNop, Dst: NoReg, Args: []Reg{7}}}, f.Blocks[0].Instrs...)
+		}, "v7 out of range"},
+		{"ret with dst out of range", func(f *Func) {
+			f.Blocks[0].Instrs[1].Dst = Reg(9)
+		}, "v9 out of range"},
+		{"negative dst", func(f *Func) {
+			f.Blocks[0].Instrs[0].Dst = Reg(-5)
+		}, "v-5 out of range"},
+		{"unknown condition", func(f *Func) {
+			f.Blocks[0].Instrs[0].Op = OpICmp
+			f.Blocks[0].Instrs[0].Cond = Cond(99)
+		}, "unknown condition"},
+		{"branch without operand", func(f *Func) {
+			f.Blocks[0].Instrs[1] = Instr{Op: OpBr, Dst: NoReg}
+		}, "operands"},
+		{"load without symbol", func(f *Func) {
+			f.Blocks[0].Instrs[0] = Instr{Op: OpLoad, Dst: f.Blocks[0].Instrs[0].Dst}
+		}, "without symbol"},
 	}
 	for _, tc := range cases {
 		f := buildAddFunc()

@@ -3,9 +3,10 @@ package ir
 import "fmt"
 
 // Validate checks structural well-formedness of the function: every
-// block is terminated exactly at its end, branch targets exist, register
-// operands are in range with the classes each operation requires, and
-// memory operations match their symbol's shape. It returns the first
+// block is terminated exactly at its end, branch targets exist, every
+// register operand of every instruction is in range, with the classes
+// each operation requires, compares name a known condition, and memory
+// operations match their symbol's shape. It returns the first
 // problem found.
 func (f *Func) Validate() error {
 	if len(f.Blocks) == 0 {
@@ -28,7 +29,9 @@ func (f *Func) Validate() error {
 				return fmt.Errorf("func %s: b%d instr %d: terminator %s in block middle", f.Name, i, j, in.Op)
 			}
 			if err := f.validateInstr(in); err != nil {
-				return fmt.Errorf("func %s: b%d instr %d (%s): %w", f.Name, i, j, f.InstrString(in), err)
+				// Name only the op: rendering a malformed instruction
+				// could index operands it lacks.
+				return fmt.Errorf("func %s: b%d instr %d (%s): %w", f.Name, i, j, in.Op, err)
 			}
 		}
 	}
@@ -64,6 +67,13 @@ func (f *Func) checkTarget(id int) error {
 	return nil
 }
 
+func checkCond(c Cond) error {
+	if c < CondEQ || c > CondGE {
+		return fmt.Errorf("unknown condition %d", int(c))
+	}
+	return nil
+}
+
 func (f *Func) validateInstr(in *Instr) error {
 	wantArgs := func(n int) error {
 		if len(in.Args) != n {
@@ -92,6 +102,18 @@ func (f *Func) validateInstr(in *Instr) error {
 		}
 		return f.checkClass(in.Dst, to)
 	}
+	// Every register operand of every opcode must name a register of
+	// the function: the allocator indexes its tables by them.
+	if in.HasDst() {
+		if err := f.checkReg(in.Dst); err != nil {
+			return err
+		}
+	}
+	for _, a := range in.Args {
+		if err := f.checkReg(a); err != nil {
+			return err
+		}
+	}
 	switch in.Op {
 	case OpNop:
 		return nil
@@ -107,9 +129,6 @@ func (f *Func) validateInstr(in *Instr) error {
 		return f.checkClass(in.Dst, ClassFloat)
 	case OpMove:
 		if err := wantArgs(1); err != nil {
-			return err
-		}
-		if err := f.checkReg(in.Args[0]); err != nil {
 			return err
 		}
 		if err := f.checkReg(in.Dst); err != nil {
@@ -135,6 +154,9 @@ func (f *Func) validateInstr(in *Instr) error {
 		if err := wantArgs(2); err != nil {
 			return err
 		}
+		if err := checkCond(in.Cond); err != nil {
+			return err
+		}
 		if err := f.checkClass(in.Args[0], ClassInt); err != nil {
 			return err
 		}
@@ -144,6 +166,9 @@ func (f *Func) validateInstr(in *Instr) error {
 		return f.checkClass(in.Dst, ClassInt)
 	case OpFCmp:
 		if err := wantArgs(2); err != nil {
+			return err
+		}
+		if err := checkCond(in.Cond); err != nil {
 			return err
 		}
 		if err := f.checkClass(in.Args[0], ClassFloat); err != nil {
@@ -191,14 +216,6 @@ func (f *Func) validateInstr(in *Instr) error {
 	case OpCall:
 		if in.Callee == "" {
 			return fmt.Errorf("call without callee")
-		}
-		for _, a := range in.Args {
-			if err := f.checkReg(a); err != nil {
-				return err
-			}
-		}
-		if in.HasDst() {
-			return f.checkReg(in.Dst)
 		}
 		return nil
 	case OpRet:

@@ -1,27 +1,31 @@
 package ir
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 )
 
 // Wire form of the IR: a canonical, self-contained JSON encoding of a
-// Program. It exists for two consumers with the same requirement —
-// deterministic bytes for identical IR:
-//
-//   - the allocation service (internal/server), whose /allocate
-//     endpoint accepts a serialized program instead of MC source, and
-//   - the content-addressed result cache (internal/resultcache), whose
-//     keys hash the canonical encoding of one function.
-//
-// Determinism comes for free from encoding/json over structs and
-// slices (no maps): identical IR encodes to identical bytes within one
-// build of the codec. The encoding is versioned so a decoder can
+// Program, read by the allocation service (internal/server), whose
+// /allocate endpoint accepts a serialized program instead of MC
+// source. Determinism comes for free from encoding/json over structs
+// and slices (no maps): identical IR encodes to identical bytes within
+// one build of the codec. The encoding is versioned so a decoder can
 // reject bytes from an incompatible codec instead of misreading them.
+//
+// Next to it lives the canonical binary form of one function
+// (WriteCanonicalFunc), which the content-addressed result cache
+// (internal/resultcache) streams into its keys. It carries the same
+// fields as the wire structs.
 
-// WireVersion identifies the wire encoding. Bump it on any change to
-// the wire structs or their meaning; it is hashed into result-cache
-// keys, so stale cross-version entries can never be served.
+// WireVersion identifies the wire encoding and the canonical binary
+// form. Bump it on any change to the wire structs, the binary form, or
+// their meaning; it leads every canonical form hashed into a
+// result-cache key, so stale cross-version entries can never be
+// served.
 const WireVersion = 1
 
 // wireProgram mirrors Program.
@@ -125,29 +129,137 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	return json.Marshal(wp)
 }
 
-// EncodeFunc renders one function in the canonical wire form, with a
-// private symbol table. It is the hashing form resultcache keys use:
-// two functions with identical structure and identical referenced
-// symbols encode identically, regardless of which program they came
-// from.
-func EncodeFunc(fn *Func) ([]byte, error) {
-	tab := &symTable{index: make(map[*Symbol]int)}
-	wf, err := encodeFunc(fn, tab)
-	if err != nil {
-		return nil, err
+// WriteCanonicalFunc writes the canonical binary form of fn to w. It
+// is the hashing form resultcache keys stream into SHA-256: two
+// functions with identical structure and identical referenced symbols
+// write identical bytes, regardless of which program they came from.
+//
+// The form leads with WireVersion and covers every field the wire form
+// carries. Integers are varints and strings and lists are
+// length-prefixed, so the bytes are self-delimiting:
+//
+//	version, name,
+//	register count, then per register: class, debug name,
+//	params, has-result, result class, locals,
+//	block count, then per block its instruction count and per
+//	instruction: op, dst, args, IntVal, FloatVal bits, cond, sym,
+//	callee, then, else.
+//
+// A symbol reference is -1 for none or the symbol's index in
+// first-reference order (locals first, then instructions); at its
+// first reference the index is followed by the symbol's name, class,
+// size, local and spill flags and initial values.
+func WriteCanonicalFunc(w io.Writer, fn *Func) error {
+	c := canonWriter{w: w, buf: make([]byte, 0, 2*canonChunk)}
+	c.uvarint(WireVersion)
+	c.str(fn.Name)
+	c.uvarint(uint64(fn.NumRegs()))
+	for r := range fn.regClass {
+		c.varint(int64(fn.regClass[r]))
+		c.str(fn.RegName(Reg(r)))
 	}
-	syms := make([]*wireSymbol, len(tab.syms))
-	for i, s := range tab.syms {
-		syms[i] = &wireSymbol{
-			Name: s.Name, Class: s.Class, Size: s.Size, Local: s.Local,
-			Spill: s.Spill, InitInt: s.InitInt, InitFloat: s.InitFloat,
+	c.uvarint(uint64(len(fn.Params)))
+	for _, p := range fn.Params {
+		c.varint(int64(p))
+	}
+	c.flag(fn.HasResult)
+	c.varint(int64(fn.ResultClass))
+	c.uvarint(uint64(len(fn.Locals)))
+	for _, l := range fn.Locals {
+		c.sym(l)
+	}
+	c.uvarint(uint64(len(fn.Blocks)))
+	for i, b := range fn.Blocks {
+		if b.ID != i {
+			return fmt.Errorf("ir: encode %s: block %d has ID %d", fn.Name, i, b.ID)
+		}
+		c.uvarint(uint64(len(b.Instrs)))
+		for j := range b.Instrs {
+			in := &b.Instrs[j]
+			c.varint(int64(in.Op))
+			c.varint(int64(in.Dst))
+			c.uvarint(uint64(len(in.Args)))
+			for _, a := range in.Args {
+				c.varint(int64(a))
+			}
+			c.varint(in.IntVal)
+			c.float(in.FloatVal)
+			c.varint(int64(in.Cond))
+			c.sym(in.Sym)
+			c.str(in.Callee)
+			c.varint(int64(in.Then))
+			c.varint(int64(in.Else))
+			if len(c.buf) >= canonChunk {
+				c.flush()
+			}
 		}
 	}
-	return json.Marshal(struct {
-		Version int           `json:"version"`
-		Syms    []*wireSymbol `json:"syms,omitempty"`
-		Func    *wireFunc     `json:"func"`
-	}{WireVersion, syms, wf})
+	c.flush()
+	return c.err
+}
+
+// canonChunk is how many bytes WriteCanonicalFunc gathers before it
+// hands them to its writer.
+const canonChunk = 2048
+
+// canonWriter buffers the canonical form on its way to w.
+type canonWriter struct {
+	w    io.Writer
+	buf  []byte
+	syms []*Symbol // symbols referenced so far, in first-reference order
+	err  error
+}
+
+func (c *canonWriter) uvarint(v uint64) { c.buf = binary.AppendUvarint(c.buf, v) }
+func (c *canonWriter) varint(v int64)   { c.buf = binary.AppendVarint(c.buf, v) }
+
+func (c *canonWriter) float(v float64) {
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(v))
+}
+
+func (c *canonWriter) flag(b bool) {
+	if b {
+		c.buf = append(c.buf, 1)
+	} else {
+		c.buf = append(c.buf, 0)
+	}
+}
+
+func (c *canonWriter) str(s string) {
+	c.uvarint(uint64(len(s)))
+	c.buf = append(c.buf, s...)
+}
+
+// sym writes a symbol reference. A function references few distinct
+// symbols, so a linear search of the ones seen so far stands in for a
+// map.
+func (c *canonWriter) sym(s *Symbol) {
+	if s == nil {
+		c.varint(-1)
+		return
+	}
+	for i, seen := range c.syms {
+		if seen == s {
+			c.varint(int64(i))
+			return
+		}
+	}
+	c.varint(int64(len(c.syms)))
+	c.syms = append(c.syms, s)
+	c.str(s.Name)
+	c.varint(int64(s.Class))
+	c.varint(int64(s.Size))
+	c.flag(s.Local)
+	c.flag(s.Spill)
+	c.varint(s.InitInt)
+	c.float(s.InitFloat)
+}
+
+func (c *canonWriter) flush() {
+	if c.err == nil {
+		_, c.err = c.w.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
 }
 
 func encodeFunc(fn *Func, tab *symTable) (*wireFunc, error) {

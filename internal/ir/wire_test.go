@@ -53,7 +53,8 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 // TestWireEncodeDeterministic: two compiles of the same source must
-// encode to identical bytes — the property the content-addressed
+// encode to identical bytes, in the wire form and in the canonical
+// binary form of each function — the property the content-addressed
 // result cache keys rely on.
 func TestWireEncodeDeterministic(t *testing.T) {
 	src := benchprog.ByName("li").Source
@@ -77,18 +78,20 @@ func TestWireEncodeDeterministic(t *testing.T) {
 		t.Fatal("identical source compiled twice encodes differently")
 	}
 	for i, fn := range a.Funcs {
-		fa, err := ir.EncodeFunc(fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fb, err := ir.EncodeFunc(b.Funcs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(fa, fb) {
-			t.Fatalf("function %s encodes differently across compiles", fn.Name)
+		if !bytes.Equal(canonical(t, fn), canonical(t, b.Funcs[i])) {
+			t.Fatalf("function %s has a different canonical form across compiles", fn.Name)
 		}
 	}
+}
+
+// canonical returns the canonical binary form of fn.
+func canonical(t *testing.T, fn *ir.Func) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ir.WriteCanonicalFunc(&buf, fn); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestWireVersionGate: a version the codec does not speak must be
@@ -108,8 +111,9 @@ func TestWireVersionGate(t *testing.T) {
 	}
 }
 
-// TestWireFuncDigestDistinguishes: EncodeFunc must differ for
-// different functions (the cache-key injectivity smoke check).
+// TestWireFuncDigestDistinguishes: the canonical binary form must
+// differ for different functions (the cache-key injectivity smoke
+// check).
 func TestWireFuncDigestDistinguishes(t *testing.T) {
 	prog, err := compile.Source(benchprog.ByName("eqntott").Source)
 	if err != nil {
@@ -117,13 +121,10 @@ func TestWireFuncDigestDistinguishes(t *testing.T) {
 	}
 	seen := map[string]string{}
 	for _, fn := range prog.Funcs {
-		data, err := ir.EncodeFunc(fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev, dup := seen[string(data)]; dup {
+		data := string(canonical(t, fn))
+		if prev, dup := seen[data]; dup {
 			t.Fatalf("functions %s and %s encode identically", prev, fn.Name)
 		}
-		seen[string(data)] = fn.Name
+		seen[data] = fn.Name
 	}
 }

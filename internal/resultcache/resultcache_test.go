@@ -9,6 +9,7 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/compile"
 	"repro/internal/freq"
+	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/rewrite"
 	"repro/internal/telemetry"
@@ -90,6 +91,169 @@ func TestKeyFreqSensitivity(t *testing.T) {
 	}
 	if k1 == k2 {
 		t.Fatal("key ignores the frequency table")
+	}
+}
+
+// keyInputs is one full set of KeyFor arguments.
+type keyInputs struct {
+	fn       *ir.Func
+	ff       *freq.FuncFreq
+	config   machine.Config
+	strategy string
+	pipeline []string
+}
+
+func (in *keyInputs) key(t *testing.T) Key {
+	t.Helper()
+	k, err := KeyFor(in.fn, in.ff, in.config, in.strategy, in.pipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// The register table of keyFixture's function: v0, v1 are its
+// parameters.
+var (
+	fixtureClasses = []ir.Class{ir.ClassInt, ir.ClassInt, ir.ClassInt, ir.ClassFloat, ir.ClassInt, ir.ClassInt, ir.ClassInt, ir.ClassFloat}
+	fixtureNames   = []string{"a", "b", "", "", "", "", "", ""}
+)
+
+// keyFixture returns fresh KeyFor inputs around a function whose
+// instructions set every field of the wire form, with the given
+// register table.
+func keyFixture(classes []ir.Class, names []string) *keyInputs {
+	fn := &ir.Func{Name: "f", HasResult: true, ResultClass: ir.ClassInt}
+	for r, c := range classes {
+		fn.NewReg(c, names[r])
+	}
+	fn.Params = []ir.Reg{0, 1}
+	buf := &ir.Symbol{Name: "buf", Class: ir.ClassInt, Size: 4, Local: true}
+	g := &ir.Symbol{Name: "g", Class: ir.ClassFloat, InitFloat: 2.5}
+	fn.Locals = []*ir.Symbol{buf}
+	entry, then, els := fn.NewBlock(), fn.NewBlock(), fn.NewBlock()
+	entry.Instrs = []ir.Instr{
+		{Op: ir.OpConstInt, Dst: 2, IntVal: 3},
+		{Op: ir.OpConstFloat, Dst: 3, FloatVal: 1.5},
+		{Op: ir.OpLoad, Dst: 4, Args: []ir.Reg{0}, Sym: buf},
+		{Op: ir.OpICmp, Dst: 5, Args: []ir.Reg{4, 2}, Cond: ir.CondLT},
+		{Op: ir.OpBr, Dst: ir.NoReg, Args: []ir.Reg{5}, Then: 1, Else: 2},
+	}
+	then.Instrs = []ir.Instr{
+		{Op: ir.OpLoad, Dst: 7, Sym: g},
+		{Op: ir.OpCall, Dst: 6, Args: []ir.Reg{2}, Callee: "h"},
+		{Op: ir.OpRet, Dst: ir.NoReg, Args: []ir.Reg{6}},
+	}
+	els.Instrs = []ir.Instr{
+		{Op: ir.OpStore, Dst: ir.NoReg, Args: []ir.Reg{3}, Sym: g},
+		{Op: ir.OpRet, Dst: ir.NoReg, Args: []ir.Reg{1}},
+	}
+	return &keyInputs{
+		fn:       fn,
+		ff:       &freq.FuncFreq{Entry: 1, Block: []float64{1, 0.5, 0.5}},
+		config:   machine.NewConfig(8, 6, 4, 4),
+		strategy: "improved",
+		pipeline: []string{"liveness", "build-graph", "color"},
+	}
+}
+
+// with returns a copy of s with s[i] = v.
+func with[T any](s []T, i int, v T) []T {
+	c := append([]T(nil), s...)
+	c[i] = v
+	return c
+}
+
+// TestKeyFieldSensitivity: changing any single input — any field of
+// the wire form, the frequency table, the configuration, the strategy,
+// or the pipeline — must change the key, including changes that only
+// move bytes from one field to the next.
+func TestKeyFieldSensitivity(t *testing.T) {
+	instr := func(in *keyInputs, b, i int) *ir.Instr { return &in.fn.Blocks[b].Instrs[i] }
+	cases := []struct {
+		name string
+		a, b func(in *keyInputs) // nil leaves the fixture as built
+	}{
+		{"reg name", nil, func(in *keyInputs) { in.fn = keyFixture(fixtureClasses, with(fixtureNames, 2, "t")).fn }},
+		{"reg class", nil, func(in *keyInputs) { in.fn = keyFixture(with(fixtureClasses, 6, ir.ClassFloat), fixtureNames).fn }},
+		{"param", nil, func(in *keyInputs) { in.fn.Params[1] = 2 }},
+		{"local Size", nil, func(in *keyInputs) { in.fn.Locals[0].Size = 5 }},
+		{"local InitInt", nil, func(in *keyInputs) { in.fn.Locals[0].InitInt = 1 }},
+		{"local InitFloat", nil, func(in *keyInputs) { in.fn.Locals[0].InitFloat = 0.5 }},
+		{"local Spill", nil, func(in *keyInputs) { in.fn.Locals[0].Spill = true }},
+		{"op", nil, func(in *keyInputs) { instr(in, 0, 0).Op = ir.OpNop }},
+		{"dst", nil, func(in *keyInputs) { instr(in, 0, 0).Dst = 6 }},
+		{"arg", nil, func(in *keyInputs) { instr(in, 0, 3).Args[1] = 4 }},
+		{"IntVal", nil, func(in *keyInputs) { instr(in, 0, 0).IntVal = 4 }},
+		{"FloatVal", nil, func(in *keyInputs) { instr(in, 0, 1).FloatVal = 1.25 }},
+		{"cond", nil, func(in *keyInputs) { instr(in, 0, 3).Cond = ir.CondLE }},
+		{"sym", nil, func(in *keyInputs) { instr(in, 2, 0).Sym = in.fn.Locals[0] }},
+		{"shared vs equal sym", nil, func(in *keyInputs) {
+			g := *instr(in, 1, 0).Sym
+			instr(in, 1, 0).Sym = &g
+		}},
+		{"callee", nil, func(in *keyInputs) { instr(in, 1, 1).Callee = "k" }},
+		{"then", nil, func(in *keyInputs) { instr(in, 0, 4).Then = 2 }},
+		{"else", nil, func(in *keyInputs) { instr(in, 0, 4).Else = 1 }},
+		{"HasResult", nil, func(in *keyInputs) { in.fn.HasResult = false }},
+		{"ResultClass", nil, func(in *keyInputs) { in.fn.ResultClass = ir.ClassFloat }},
+		{"ff.Entry", nil, func(in *keyInputs) { in.ff.Entry = 2 }},
+		{"ff.Block", nil, func(in *keyInputs) { in.ff.Block[2] = 0.25 }},
+		{"config", nil, func(in *keyInputs) { in.config = machine.NewConfig(8, 6, 4, 2) }},
+		{"strategy", nil, func(in *keyInputs) { in.strategy = "linscan" }},
+		{"pipeline split", func(in *keyInputs) { in.pipeline = []string{"ab", "c"} },
+			func(in *keyInputs) { in.pipeline = []string{"a", "bc"} }},
+		{"strategy absorbs first pass", nil, func(in *keyInputs) {
+			in.strategy, in.pipeline = "improvedliveness", in.pipeline[1:]
+		}},
+		{"strategy absorbs first pass after NUL", nil, func(in *keyInputs) {
+			in.strategy, in.pipeline = "improved\x00liveness", in.pipeline[1:]
+		}},
+	}
+	for _, tc := range cases {
+		a, b := keyFixture(fixtureClasses, fixtureNames), keyFixture(fixtureClasses, fixtureNames)
+		if tc.a != nil {
+			tc.a(a)
+		}
+		tc.b(b)
+		if a.key(t) == b.key(t) {
+			t.Errorf("%s: key unchanged", tc.name)
+		}
+	}
+}
+
+// TestKeySharedHelperAcrossPrograms: the same helper compiled into two
+// different programs — other globals, other callers — has the same
+// key, so the cache serves it across them.
+func TestKeySharedHelperAcrossPrograms(t *testing.T) {
+	const helper = `
+int table[16];
+int helper(int x) { table[x % 16] = x; return table[(x + 1) % 16] * 2; }
+`
+	srcs := []string{
+		"int other[4];\nfloat scale = 1.5;\n" + helper +
+			"int main() { other[1] = 2; return helper(3) + other[1]; }\n",
+		helper + "int main() { int s = helper(5); int i; for (i = 0; i < 4; i = i + 1) { s = s + i; } return s; }\n",
+	}
+	cfg := machine.NewConfig(8, 6, 4, 4)
+	var keys [2][2]Key // [program][helper, main]
+	for i, src := range srcs {
+		prog, err := compile.Source(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf := freq.Static(prog)
+		for j, name := range []string{"helper", "main"} {
+			fn := prog.FuncByName[name]
+			in := &keyInputs{fn: fn, ff: pf.ByFunc[name], config: cfg, strategy: "improved"}
+			keys[i][j] = in.key(t)
+		}
+	}
+	if keys[0][0] != keys[1][0] {
+		t.Error("the shared helper keys differently in the two programs")
+	}
+	if keys[0][1] == keys[1][1] {
+		t.Error("the two different mains share a key")
 	}
 }
 

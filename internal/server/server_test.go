@@ -204,6 +204,40 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// malformedIR holds wire-IR programs that ir.DecodeProgram once
+// accepted with an out-of-range operand, or panicked on while
+// formatting its own validation error. The first is the body that
+// killed a stock daemon: a nop whose destination v34 lies past the 25
+// registers of main.
+var malformedIR = map[string]string{
+	"nop operand out of range": `{"version":1,"funcs":[{"name":"main","has_result":true,"reg_classes":[` +
+		strings.Repeat("0,", 24) + `0],"blocks":[{"instrs":[{"op":1,"dst":0,"int_val":1,"sym":-1},` +
+		`{"op":0,"dst":34,"sym":-1},{"op":22,"dst":-1,"args":[0],"sym":-1}]}]}]}`,
+	"branch without operand": `{"version":1,"funcs":[{"name":"main","has_result":true,"reg_classes":[0],` +
+		`"blocks":[{"instrs":[{"op":1,"dst":0,"int_val":1,"sym":-1},{"op":23,"dst":-1,"sym":-1}]}]}]}`,
+	"negative destination": `{"version":1,"funcs":[{"name":"main","has_result":true,"reg_classes":[0],` +
+		`"blocks":[{"instrs":[{"op":1,"dst":-5,"int_val":1,"sym":-1},{"op":22,"dst":-1,"args":[0],"sym":-1}]}]}]}`,
+	"load without symbol": `{"version":1,"funcs":[{"name":"main","has_result":true,"reg_classes":[0],` +
+		`"blocks":[{"instrs":[{"op":19,"dst":0,"sym":-1},{"op":22,"dst":-1,"args":[0],"sym":-1}]}]}]}`,
+}
+
+// TestMalformedIRRejected: every malformed body gets a 400 under each
+// strategy tier, and the daemon then still answers a normal request.
+func TestMalformedIRRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for name, body := range malformedIR {
+		for _, strat := range []string{"improved", "linscan", "hybrid"} {
+			req := Request{IR: json.RawMessage(body), Config: ConfigRequest{RI: 8, RF: 6, EI: 4, EF: 4}, Strategy: strat}
+			if code, resp := post(t, ts.URL+"/allocate", req); code != http.StatusBadRequest {
+				t.Errorf("%s under %s: status %d, want 400: %s", name, strat, code, resp)
+			}
+		}
+	}
+	if code, body := post(t, ts.URL+"/allocate", allocReq()); code != http.StatusOK {
+		t.Fatalf("normal request after malformed ones: status %d: %s", code, body)
+	}
+}
+
 // TestBackpressure429: with the single worker held and the admission
 // queue full, the edge sheds with 429 and records it in the shed
 // counter.
