@@ -389,20 +389,8 @@ func BenchmarkReferenceInterp(b *testing.B) {
 	}
 }
 
-// BenchmarkReconstruction measures the driver with the paper's
-// graph-reconstruction phase (patching the interference graph after
-// spill insertion) against BenchmarkFullRebuild — the compile-time
-// claim of the framework. Both produce identical allocations (verified
-// by the test suite).
-func BenchmarkReconstruction(b *testing.B) { benchDriver(b, false) }
-
-// BenchmarkFullRebuild is the rebuild-from-scratch baseline for
-// BenchmarkReconstruction.
-func BenchmarkFullRebuild(b *testing.B) { benchDriver(b, true) }
-
 // roundTimer is a tracer that accumulates the wall time of every
-// pipeline phase of rounds ≥ 1 — the spill rounds, where the
-// incremental dataflow machinery operates.
+// pipeline phase of rounds ≥ 1 — the spill rounds.
 type roundTimer struct{ total time.Duration }
 
 func (rt *roundTimer) Enabled() bool { return true }
@@ -413,33 +401,16 @@ func (rt *roundTimer) Emit(ev obs.Event) {
 }
 
 // BenchmarkSpillRound measures the spill rounds (round ≥ 1) of
-// multi-round allocations under three dataflow regimes: the default
-// incremental path (liveness.Rebase from the rewritten blocks, block
-// map column updates, interference reconstruction), the same pipeline
-// with only the liveness/block-map update ablated to a full re-solve,
-// and the all-from-scratch Options.Rebuild baseline. The reported
-// round1+_us/op metric is the per-allocation wall time of rounds ≥ 1;
-// the ns/op column is the whole allocation. All three regimes produce
-// byte-identical allocations (pinned by TestIncrementalMatchesRebuild
-// and TestPipelineMatchesLegacy).
+// multi-round allocations, where every analysis is recomputed from
+// scratch on the rewritten body. The reported round1+_us/op metric is
+// the per-allocation wall time of rounds ≥ 1; the ns/op column is the
+// whole allocation. The arm keeps the name "rebuild" so its baseline
+// rows stay comparable.
 func BenchmarkSpillRound(b *testing.B) {
 	cases := []struct{ prog, fn string }{
 		{"fpppp", "twoel"},
 		{"tomcatv", "main"},
 		{"eqntott", "buildtt"},
-	}
-	modes := []struct {
-		name string
-		opts func(regalloc.Options) regalloc.Options
-	}{
-		{"update", func(o regalloc.Options) regalloc.Options { return o }},
-		{"full-liveness", func(o regalloc.Options) regalloc.Options {
-			pl := regalloc.BuildPipeline(callcost.Chaitin(), rewrite.InsertSpills, o).
-				Replace(obs.PhaseLiveness, regalloc.LivenessPass(true))
-			o.Pipeline = &pl
-			return o
-		}},
-		{"rebuild", func(o regalloc.Options) regalloc.Options { o.Rebuild = true; return o }},
 	}
 	cfgRegs := callcost.NewConfig(6, 4, 0, 0)
 	for _, c := range cases {
@@ -449,44 +420,19 @@ func BenchmarkSpillRound(b *testing.B) {
 		}
 		fn := p.Program.IR.FuncByName[c.fn]
 		ff := p.Dynamic.ByFunc[c.fn]
-		for _, m := range modes {
-			b.Run(c.prog+"_"+c.fn+"/"+m.name, func(b *testing.B) {
-				tr := &roundTimer{}
-				opts := regalloc.DefaultOptions()
-				opts.Tracer = tr
-				opts = m.opts(opts)
-				b.ResetTimer()
-				tr.total = 0
-				for i := 0; i < b.N; i++ {
-					if _, err := regalloc.AllocateFunc(fn, ff, cfgRegs, callcost.Chaitin(),
-						rewrite.InsertSpills, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(c.prog+"_"+c.fn+"/rebuild", func(b *testing.B) {
+			tr := &roundTimer{}
+			opts := regalloc.DefaultOptions()
+			opts.Tracer = tr
+			b.ResetTimer()
+			tr.total = 0
+			for i := 0; i < b.N; i++ {
+				if _, err := regalloc.AllocateFunc(fn, ff, cfgRegs, callcost.Chaitin(),
+					rewrite.InsertSpills, opts); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(tr.total.Nanoseconds())/1e3/float64(b.N), "round1+_us/op")
-			})
-		}
-	}
-}
-
-func benchDriver(b *testing.B, rebuild bool) {
-	b.Helper()
-	// fpppp at the minimum configuration spills across several rounds —
-	// the case where reconstruction pays.
-	p, err := benchEnv.Get("fpppp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fn := p.Program.IR.FuncByName["twoel"]
-	ff := p.Dynamic.ByFunc["twoel"]
-	opts := regalloc.DefaultOptions()
-	opts.Rebuild = rebuild
-	cfgRegs := callcost.NewConfig(6, 4, 0, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := regalloc.AllocateFunc(fn, ff, cfgRegs, callcost.Chaitin(),
-			rewrite.InsertSpills, opts); err != nil {
-			b.Fatal(err)
-		}
+			}
+			b.ReportMetric(float64(tr.total.Nanoseconds())/1e3/float64(b.N), "round1+_us/op")
+		})
 	}
 }

@@ -1,7 +1,7 @@
 // benchdiff is the benchmark regression gate: it compares two
 // measurement files (or a fresh benchmark run against a checked-in
 // baseline) and exits nonzero when a metric moved the wrong way past
-// the noise threshold. CI runs it as a smoke step against BENCH_8.json.
+// the noise threshold. CI runs it as a smoke step against BENCH_9.json.
 //
 // Two-file mode diffs every numeric leaf the files share:
 //
@@ -16,7 +16,7 @@
 // paths, and diffs those. Metrics the baseline does not
 // carry are printed as explicit WARNINGs instead of passing silently:
 //
-//	benchdiff -bench -baseline BENCH_8.json -benchtime 200x -threshold 0.5 -o current.json
+//	benchdiff -bench -baseline BENCH_9.json -benchtime 200x -threshold 0.5 -o current.json
 //
 // The threshold is relative (0.5 = 50%); run mode wants a generous one,
 // since short -benchtime runs on shared CI hardware are noisy.

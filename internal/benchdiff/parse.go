@@ -54,8 +54,8 @@ func ParseBenchOutput(r io.Reader) (map[string]float64, error) {
 }
 
 // CanonicalizeSpillRound re-keys parsed BenchmarkSpillRound metrics to
-// the paths the checked-in BENCH_5.json baseline uses, so a fresh
-// short-form run can be compared against it:
+// the paths the checked-in BENCH_*.json baselines use (CI gates against
+// BENCH_9.json), so a fresh short-form run can be compared against one:
 //
 //	bench.SpillRound/fpppp_twoel/update.round1+_us/op
 //	  → spill_round.round1_plus_us_per_op.fpppp/twoel.update

@@ -46,52 +46,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// CloneGrown returns an independent copy of s with capacity at least n.
-// The incremental liveness update uses it to rebase a shared (frozen)
-// set onto a function that has since gained registers.
-func (s *Set) CloneGrown(n int) *Set {
-	if n < s.n {
-		n = s.n
-	}
-	c := &Set{words: make([]uint64, (n+63)/64), n: n}
-	copy(c.words, s.words)
-	return c
-}
-
-// Grow extends the capacity of s to hold values in [0, n), preserving
-// its contents. Shrinking is a no-op.
-func (s *Set) Grow(n int) {
-	if n <= s.n {
-		return
-	}
-	s.n = n
-	need := (n + 63) / 64
-	if need > len(s.words) {
-		if need <= cap(s.words) {
-			s.words = s.words[:need]
-		} else {
-			w := make([]uint64, need, need+need/2)
-			copy(w, s.words)
-			s.words = w
-		}
-	}
-}
-
-// Intersects reports whether s and t share any element. The sets may
-// have different capacities.
-func (s *Set) Intersects(t *Set) bool {
-	w := s.words
-	if len(t.words) < len(w) {
-		w = w[:len(t.words)]
-	}
-	for i, x := range w {
-		if x&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // UnionWith adds every element of t to s and reports whether s changed.
 func (s *Set) UnionWith(t *Set) bool {
 	changed := false
@@ -159,25 +113,6 @@ func order(a, b int) (int, int) {
 
 // Len returns the capacity of the matrix.
 func (t *Triangular) Len() int { return t.n }
-
-// Grow extends the matrix to cover values in [0, n). Existing pairs are
-// preserved (the triangular layout appends rows; no re-indexing).
-func (t *Triangular) Grow(n int) {
-	if n <= t.n {
-		return
-	}
-	t.n = n
-	need := (pairIndex(n, 0) + 63) / 64
-	if need > len(t.words) {
-		if need <= cap(t.words) {
-			t.words = t.words[:need]
-		} else {
-			w := make([]uint64, need, need+need/2)
-			copy(w, t.words)
-			t.words = w
-		}
-	}
-}
 
 // Set inserts the pair {a, b}. Setting a == b is a no-op.
 func (t *Triangular) Set(a, b int) {

@@ -49,25 +49,6 @@ func New(fn *ir.Func) *Graph {
 	return g
 }
 
-// Retarget returns a view of g's derived facts bound to fn, a function
-// whose block structure (count, IDs, successor lists) is identical to
-// the one g was computed for — the case after a spill-everywhere
-// rewrite, which inserts loads and stores but never touches
-// terminators. The fact slices are shared, not copied: New never
-// mutates them after construction, so one frozen Graph may be
-// retargeted by many goroutines at once.
-func (g *Graph) Retarget(fn *ir.Func) *Graph {
-	return &Graph{
-		Fn:        fn,
-		Preds:     g.Preds,
-		Succs:     g.Succs,
-		RPO:       g.RPO,
-		Idom:      g.Idom,
-		LoopDepth: g.LoopDepth,
-		LoopHead:  g.LoopHead,
-	}
-}
-
 func (g *Graph) computeRPO() {
 	n := len(g.Fn.Blocks)
 	seen := make([]bool, n)

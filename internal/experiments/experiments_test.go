@@ -15,7 +15,7 @@ var env = experiments.NewEnv()
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"ablation-callee", "ablation-coalesce", "ablation-key",
-		"ablation-priority", "ablation-rebuild", "ablation-spillheur",
+		"ablation-priority", "ablation-spillheur",
 		"fig10", "fig11", "fig2", "fig6", "fig7", "fig9",
 		"interproc", "pareto", "pareto-smoke", "tab2", "tab3", "tab4",
 	}

@@ -13,9 +13,9 @@
 // The representation is Chaitin's dual one: a triangular bit matrix
 // answers Interfere in O(1), and per-node adjacency vectors drive
 // iteration. Adjacency vectors are append-only; an entry goes stale
-// when its node is merged away by coalescing or removed by spilling,
-// and iteration skips (and compacts) stale entries by checking that the
-// entry is still a union-find representative whose edge bit is set.
+// when its node is merged away by coalescing, and iteration skips (and
+// compacts) stale entries by checking that the entry is still a
+// union-find representative whose edge bit is set.
 // Degrees are maintained incrementally, so Degree is O(1).
 //
 // The graph embeds a union-find so that coalescing (merging the two
@@ -202,8 +202,8 @@ func (g *Graph) Interfere(a, b ir.Reg) bool {
 
 // alive reports whether an adjacency entry x of representative rep is
 // still current: x must itself be a representative and the edge bit
-// must still be set (removeNode clears bits; merged-away nodes stop
-// being representatives).
+// must still be set (merged-away nodes stop being representatives, and
+// a union of interfering ranges clears the bit between them).
 func (g *Graph) alive(rep, x ir.Reg) bool {
 	return g.parent[x] == x && g.matrix.Has(int(rep), int(x))
 }
@@ -416,17 +416,66 @@ func (g *Graph) briggsOK(a, b ir.Reg, k int) bool {
 	return high < k
 }
 
-// forEachEdge calls f(a, b) once per live edge, with a < b.
-func (g *Graph) forEachEdge(f func(a, b ir.Reg)) {
-	for r := range g.adj {
-		rep := ir.Reg(r)
-		if g.parent[rep] != rep {
-			continue
+// Clone returns an independent copy of the graph (same nodes, edges,
+// and union-find state).
+func (g *Graph) Clone() *Graph {
+	c := &Graph{
+		Fn:     g.Fn,
+		Class:  g.Class,
+		parent: append([]ir.Reg(nil), g.parent...),
+		next:   append([]ir.Reg(nil), g.next...),
+		adj:    make([][]ir.Reg, len(g.adj)),
+		deg:    append([]int32(nil), g.deg...),
+		matrix: g.matrix.Clone(),
+		occurs: append([]bool(nil), g.occurs...),
+		nodes:  append([]ir.Reg(nil), g.nodes...),
+		listed: append([]bool(nil), g.listed...),
+	}
+	for i, l := range g.adj {
+		if len(l) > 0 {
+			c.adj[i] = append([]ir.Reg(nil), l...)
 		}
-		for _, n := range g.adj[rep] {
-			if rep < n && g.alive(rep, n) {
-				f(rep, n)
+	}
+	return c
+}
+
+// EdgesEqual reports whether two graphs have identical node sets and
+// edges, resolving union-find representatives on both sides. The
+// graph tests use it as their equality oracle.
+func EdgesEqual(a, b *Graph) bool {
+	na, nb := a.Nodes(), b.Nodes()
+	// Node sets must agree up to representative choice: compare the
+	// partition of occurring registers and the edge relation over
+	// original registers.
+	occA := make(map[ir.Reg]bool)
+	for _, r := range na {
+		occA[r] = true
+	}
+	occB := make(map[ir.Reg]bool)
+	for _, r := range nb {
+		occB[r] = true
+	}
+	max := len(a.parent)
+	if len(b.parent) > max {
+		max = len(b.parent)
+	}
+	inA := func(r ir.Reg) bool { return int(r) < len(a.parent) && occA[a.Find(r)] }
+	inB := func(r ir.Reg) bool { return int(r) < len(b.parent) && occB[b.Find(r)] }
+	for r := 0; r < max; r++ {
+		if inA(ir.Reg(r)) != inB(ir.Reg(r)) {
+			return false
+		}
+	}
+	for r := 0; r < max; r++ {
+		for s := r + 1; s < max; s++ {
+			rr, ss := ir.Reg(r), ir.Reg(s)
+			if !inA(rr) || !inA(ss) {
+				continue
+			}
+			if a.Interfere(rr, ss) != b.Interfere(rr, ss) {
+				return false
 			}
 		}
 	}
+	return true
 }

@@ -7,11 +7,11 @@ import (
 
 // Snapshot returns a copy-on-write view of g. The view shares every
 // storage slice and the bit matrix with the snapshotted base until the
-// first mutation (Coalesce, Union, Reconstruct, removeNode, grow),
-// which privatizes the storage; until then the view costs one struct
-// copy. While shared, every read path is write-free — Find skips path
-// halving and Neighbors skips stale-entry compaction — so any number of
-// snapshots of the same frozen base may be read concurrently.
+// first mutation (Coalesce or Union), which privatizes the storage;
+// until then the view costs one struct copy. While shared, every read
+// path is write-free — Find skips path halving and Neighbors skips
+// stale-entry compaction — so any number of snapshots of the same
+// frozen base may be read concurrently.
 //
 // Snapshotting a snapshot shares the original base, never a chain.
 func (g *Graph) Snapshot() *Graph {

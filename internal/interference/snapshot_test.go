@@ -104,7 +104,7 @@ func TestSnapshotCOWUnderCoalesce(t *testing.T) {
 // interference) must return the base's answers without ever triggering
 // a copy.
 func TestSnapshotReadsDoNotPrivatize(t *testing.T) {
-	prog, err := compile.Source(reconstructSrc)
+	prog, err := compile.Source(spillSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,43 +132,45 @@ func TestSnapshotReadsDoNotPrivatize(t *testing.T) {
 	}
 }
 
-// TestReconstructOnSharedSnapshot patches a Snapshot through the real
-// spill rewriter and checks the result against a fresh Build — while
-// the snapshotted base keeps answering for the original function.
-func TestReconstructOnSharedSnapshot(t *testing.T) {
-	prog, err := compile.Source(reconstructSrc)
+// spillSrc keeps several values live across a loop with a call
+// in it, so spilling any one of them changes the graph.
+const spillSrc = `
+int g(int v) { return v + 1; }
+int f(int a, int b, int c) {
+	int keep = a * 3 + b;
+	int more = b * 5 + c;
+	int r = 0;
+	int i = 0;
+	for (i = 0; i < 10; i = i + 1) {
+		r = r + g(i) + keep;
+	}
+	return keep + more + r + a;
+}
+int main() { return f(1, 2, 3); }`
+
+// TestEdgesEqualDetectsDifferences checks the equality oracle the
+// graph tests rely on: two builds of one function are equal, and the
+// graph before a spill rewrite differs from the graph after it.
+func TestEdgesEqualDetectsDifferences(t *testing.T) {
+	prog, err := compile.Source(spillSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := prog.FuncByName["f"].Clone()
-	live := liveness.Compute(f, cfg.New(f))
-	base := interference.Build(f, live, ir.ClassInt)
-	baseOracle := interference.Build(f, live, ir.ClassInt)
-
-	spill := make(map[ir.Reg]*ir.Symbol)
-	for r := 0; r < f.NumRegs(); r++ {
-		if f.RegName(ir.Reg(r)) == "keep" {
-			spill[ir.Reg(r)] = &ir.Symbol{Name: "spill.keep", Class: ir.ClassInt, Local: true, Spill: true}
-		}
+	old := interference.Build(f, liveness.Compute(f, cfg.New(f)), ir.ClassInt)
+	if !interference.EdgesEqual(old, interference.Build(f, liveness.Compute(f, cfg.New(f)), ir.ClassInt)) {
+		t.Fatal("two builds of one function differ")
 	}
-	if len(spill) != 1 {
+	keep := regByName(f, "keep")
+	if keep == ir.NoReg {
 		t.Fatal("fixture register not found")
 	}
-	rewritten := f.Clone()
-	temps := make(map[ir.Reg]bool)
-	rewrite.InsertSpills(rewritten, spill, func(r ir.Reg) { temps[r] = true })
-	live2 := liveness.Compute(rewritten, cfg.New(rewritten))
-
-	sn := base.Snapshot()
-	patched := interference.Reconstruct(sn, rewritten, live2, spill, func(r ir.Reg) bool { return temps[r] })
-	if patched.Shared() {
-		t.Fatal("Reconstruct left the snapshot unprivatized")
+	spill := map[ir.Reg]*ir.Symbol{keep: {Name: "spill.keep", Class: ir.ClassInt, Local: true, Spill: true}}
+	rewrite.InsertSpills(f, spill, func(ir.Reg) {})
+	rebuilt := interference.Build(f, liveness.Compute(f, cfg.New(f)), ir.ClassInt)
+	if interference.EdgesEqual(old, rebuilt) {
+		t.Error("pre- and post-spill graphs should differ")
 	}
-	rebuilt := interference.Build(rewritten, live2, ir.ClassInt)
-	if !interference.EdgesEqual(patched, rebuilt) {
-		t.Error("reconstructed snapshot differs from a fresh build")
-	}
-	graphsMatch(t, "base after snapshot-reconstruct", base, baseOracle)
 }
 
 // TestSnapshotConcurrentReaders hammers one frozen base from many

@@ -36,11 +36,10 @@ type Scan struct {
 func (*Scan) Name() string { return "linscan" }
 
 // BuildPipeline implements regalloc.PipelineBuilder. The coalescing
-// options have no meaning without a graph and are ignored; Rebuild
-// keeps its usual effect on the liveness pass.
+// options have no meaning without a graph and are ignored.
 func (sc *Scan) BuildPipeline(insertSpills regalloc.SpillInserter, opts regalloc.Options) pipeline.Pipeline {
 	return pipeline.New(
-		regalloc.LivenessPass(opts.Rebuild),
+		regalloc.LivenessPass(),
 		scanPass{hulls: sc.ConservativeHulls, cc: opts.Interproc},
 		regalloc.SpillRewritePass(insertSpills),
 	)
@@ -297,15 +296,15 @@ func (h *Hybrid) Allocate(ctx *regalloc.ClassContext) *regalloc.ClassResult {
 
 // BuildPipeline implements regalloc.PipelineBuilder: the standard
 // coloring pipeline of the escalation strategy (honoring the
-// coalescing and rebuild options), with the scan pass inserted after
-// liveness and every coloring pass gated on State.Escalated. A
+// coalescing options), with the scan pass inserted after liveness and
+// every coloring pass gated on State.Escalated. A
 // function whose scan commits cleanly converges without ever running
 // build-graph; one that escalates runs the full coloring sequence in
 // the same round and stays in that tier for all later rounds.
 func (h *Hybrid) BuildPipeline(insertSpills regalloc.SpillInserter, opts regalloc.Options) pipeline.Pipeline {
 	coloring := regalloc.BuildPipeline(h.escalate(), insertSpills, opts)
 	passes := []pipeline.Pass{
-		regalloc.LivenessPass(opts.Rebuild),
+		regalloc.LivenessPass(),
 		hybridScanPass{h: h, cc: opts.Interproc},
 	}
 	for _, p := range coloring.Passes() {

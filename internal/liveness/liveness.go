@@ -10,14 +10,8 @@
 // changes. The union lattice gives the system a unique least fixpoint
 // from the empty initialization, so the worklist schedule produces
 // sets byte-identical to a dense round-robin sweep — a property the
-// differential tests pin.
-//
-// After a spill-everywhere rewrite the solution can also be updated
-// incrementally (Rebase): spill code has strictly block-local dataflow
-// effect — it removes every occurrence of the spilled registers and
-// introduces fresh block-local temporaries — so only the rewritten
-// blocks need new use/def sets and the worklist restarts from those
-// seeds alone.
+// differential tests pin, on the original bodies and after spill
+// rewrites alike.
 //
 // It also provides a backward per-instruction walk, which the
 // interference builder and the call-crossing analysis share.
@@ -40,22 +34,6 @@ type Info struct {
 	// `liveness` event (blocks visited vs. len(Fn.Blocks)).
 	Visited int
 
-	// use/def are the per-block local sets (use upward-exposed). They
-	// are kept on the Info — rather than rebuilt per solve — both to
-	// pool the allocation across rounds and because Rebase needs the
-	// previous round's sets for every block it does not re-scan. Forks
-	// share them read-only.
-	use []*bitset.Set
-	def []*bitset.Set
-
-	// Worklist scratch (solve): FIFO queue, in-queue flags, reachable
-	// flags, changed-block marks, and the transfer-function temporary.
-	queue []int
-	inQ   []bool
-	reach []bool
-	chg   []bool
-	tmp   *bitset.Set
-
 	// Scratch reused across WalkBlock and LiveAcrossCalls calls, so the
 	// per-block walks allocate nothing after warm-up. Each walker owns
 	// its own sets (WalkBlock inside a LiveAcrossCalls visit is fine),
@@ -68,41 +46,18 @@ type Info struct {
 	callLive []*bitset.Set
 }
 
-// Fork returns a view of info sharing the immutable In/Out/use/def
-// sets but owning fresh walk scratch, so several goroutines can walk
-// one computed liveness result concurrently — each through its own
-// fork. The sets themselves must no longer be mutated once forked;
-// Rebase honors this by copying when handed a shared Info.
+// Fork returns a view of info sharing the immutable In/Out sets but
+// owning fresh walk scratch, so several goroutines can walk one
+// computed liveness result concurrently — each through its own fork.
+// The sets themselves must no longer be mutated once forked.
 func (info *Info) Fork() *Info {
-	return &Info{Fn: info.Fn, In: info.In, Out: info.Out,
-		use: info.use, def: info.def, Visited: info.Visited}
+	return &Info{Fn: info.Fn, In: info.In, Out: info.Out, Visited: info.Visited}
 }
 
-// newInfo allocates an Info with empty sets for n blocks of nr
-// registers.
-func newInfo(fn *ir.Func, n, nr int) *Info {
-	info := &Info{
-		Fn:  fn,
-		In:  make([]*bitset.Set, n),
-		Out: make([]*bitset.Set, n),
-		use: make([]*bitset.Set, n),
-		def: make([]*bitset.Set, n),
-	}
-	for i := 0; i < n; i++ {
-		info.In[i] = bitset.New(nr)
-		info.Out[i] = bitset.New(nr)
-		info.use[i] = bitset.New(nr)
-		info.def[i] = bitset.New(nr)
-	}
-	return info
-}
-
-// localSets (re)computes the use/def sets of block b. A use counts
-// only when upward-exposed (not preceded by a def in the same block).
-func (info *Info) localSets(b *ir.Block) {
-	u, d := info.use[b.ID], info.def[b.ID]
-	u.Clear()
-	d.Clear()
+// localSets computes the use/def sets of block b into u and d. A use
+// counts only when upward-exposed (not preceded by a def in the same
+// block).
+func localSets(b *ir.Block, u, d *bitset.Set) {
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		for _, a := range in.Args {
@@ -116,200 +71,68 @@ func (info *Info) localSets(b *ir.Block) {
 	}
 }
 
-// ensureScratch sizes the worklist scratch for n blocks and nr
-// registers, and derives the reachable-block flags from g.RPO. Only
-// reachable blocks participate in the iteration — exactly the blocks a
-// dense sweep over the reverse postorder would visit — so unreachable
-// blocks keep empty In/Out sets.
-func (info *Info) ensureScratch(g *cfg.Graph, n, nr int) {
-	if cap(info.queue) < n {
-		info.queue = make([]int, 0, 2*n)
-	}
-	info.queue = info.queue[:0]
-	if len(info.inQ) < n {
-		info.inQ = make([]bool, n)
-		info.reach = make([]bool, n)
-		info.chg = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		info.inQ[i] = false
-		info.reach[i] = false
-		info.chg[i] = false
-	}
-	for _, b := range g.RPO {
-		info.reach[b] = true
-	}
-	if info.tmp == nil || info.tmp.Len() < nr {
-		info.tmp = bitset.New(nr)
-	}
-}
-
-// enqueue appends a reachable block to the worklist unless it is
-// already pending.
-func (info *Info) enqueue(b int) {
-	if !info.inQ[b] && info.reach[b] {
-		info.inQ[b] = true
-		info.queue = append(info.queue, b)
-	}
-}
-
-// solve runs the worklist to fixpoint from the currently enqueued
-// seeds, recording visit counts and marking blocks whose In or Out set
-// changed. Out sets only ever grow here; callers that need a set to
-// shrink (Rebase's spilled registers) clear those bits before seeding.
-func (info *Info) solve(g *cfg.Graph) {
-	visited := 0
-	tmp := info.tmp
-	for head := 0; head < len(info.queue); head++ {
-		b := info.queue[head]
-		info.inQ[b] = false
-		visited++
-		out := info.Out[b]
-		for _, s := range g.Succs[b] {
-			if out.UnionWith(info.In[s]) {
-				info.chg[b] = true
-			}
-		}
-		tmp.Copy(out)
-		tmp.DiffWith(info.def[b])
-		tmp.UnionWith(info.use[b])
-		if !tmp.Equal(info.In[b]) {
-			info.In[b].Copy(tmp)
-			info.chg[b] = true
-			for _, p := range g.Preds[b] {
-				info.enqueue(p)
-			}
-		}
-	}
-	info.queue = info.queue[:0]
-	info.Visited = visited
-}
-
 // Compute runs the dataflow to fixpoint.
 func Compute(fn *ir.Func, g *cfg.Graph) *Info {
 	n := len(fn.Blocks)
 	nr := fn.NumRegs()
-	info := newInfo(fn, n, nr)
-	for _, b := range fn.Blocks {
-		info.localSets(b)
+	info := &Info{
+		Fn:  fn,
+		In:  make([]*bitset.Set, n),
+		Out: make([]*bitset.Set, n),
 	}
-	info.ensureScratch(g, n, nr)
+	use := make([]*bitset.Set, n)
+	def := make([]*bitset.Set, n)
+	for i := 0; i < n; i++ {
+		info.In[i] = bitset.New(nr)
+		info.Out[i] = bitset.New(nr)
+		use[i] = bitset.New(nr)
+		def[i] = bitset.New(nr)
+	}
+	for _, b := range fn.Blocks {
+		localSets(b, use[b.ID], def[b.ID])
+	}
+
+	// Only reachable blocks participate in the iteration — exactly the
+	// blocks a dense sweep over the reverse postorder would visit — so
+	// unreachable blocks keep empty In/Out sets.
+	reach := make([]bool, n)
+	for _, b := range g.RPO {
+		reach[b] = true
+	}
+	inQ := make([]bool, n)
+	queue := make([]int, 0, 2*n)
+	enqueue := func(b int) {
+		if !inQ[b] && reach[b] {
+			inQ[b] = true
+			queue = append(queue, b)
+		}
+	}
 	// Seed every reachable block in postorder (reverse of RPO) for fast
 	// convergence of the backward problem.
 	for i := len(g.RPO) - 1; i >= 0; i-- {
-		info.enqueue(g.RPO[i])
+		enqueue(g.RPO[i])
 	}
-	info.solve(g)
+
+	tmp := bitset.New(nr)
+	for head := 0; head < len(queue); head++ {
+		b := queue[head]
+		inQ[b] = false
+		info.Visited++
+		out := info.Out[b]
+		for _, s := range g.Succs[b] {
+			out.UnionWith(info.In[s])
+		}
+		tmp.Copy(out)
+		tmp.DiffWith(def[b])
+		tmp.UnionWith(use[b])
+		if !tmp.Equal(info.In[b]) {
+			info.In[b].Copy(tmp)
+			for _, p := range g.Preds[b] {
+				enqueue(p)
+			}
+		}
+	}
 	return info
-}
-
-// Rebase updates prev — the liveness of fn before an in-place
-// spill-everywhere rewrite — to the rewritten body, re-solving only
-// from the blocks the rewrite modified. It returns the updated Info
-// and the sorted list of blocks whose sets may differ from prev (the
-// dirty seeds plus every block the propagation changed); a nil changed
-// list means the update could not be performed incrementally and the
-// function was recomputed from scratch.
-//
-// The contract matches what rewrite.InsertSpills does: the block
-// structure (count, IDs, terminators) is unchanged, every occurrence
-// of the registers in removed has been rewritten away, and all newly
-// introduced registers are fresh (numbered at or above prev's register
-// capacity). Under that contract the liveness of every surviving
-// register is unchanged, the removed registers are live nowhere, and
-// the new temporaries only add bits — so clearing the removed bits and
-// running the monotone worklist from the dirty seeds lands exactly on
-// the full solution (pinned by the differential tests).
-//
-// When mutate is false prev is treated as shared (e.g. a Fork of a
-// cached round-0 artifact) and left untouched; the result is a fresh
-// Info. When mutate is true prev is updated in place and returned.
-func Rebase(prev *Info, fn *ir.Func, g *cfg.Graph, dirty []int, removed []ir.Reg, mutate bool) (*Info, []int) {
-	n := len(fn.Blocks)
-	if len(prev.In) != n || prev.use == nil || dirty == nil {
-		// Structure changed, or prev carries no local sets: no
-		// incremental contract to exploit.
-		return Compute(fn, g), nil
-	}
-	nr := fn.NumRegs()
-	var info *Info
-	if mutate {
-		info = prev
-		info.Fn = fn
-		for i := 0; i < n; i++ {
-			info.In[i].Grow(nr)
-			info.Out[i].Grow(nr)
-			info.use[i].Grow(nr)
-			info.def[i].Grow(nr)
-		}
-		// The pooled walk scratch was sized for the old register count;
-		// grow it with the sets it is copied from.
-		for _, s := range []*bitset.Set{info.walk, info.callWalk, info.cross} {
-			if s != nil {
-				s.Grow(nr)
-			}
-		}
-		for _, s := range info.callLive {
-			s.Grow(nr)
-		}
-	} else {
-		info = &Info{
-			Fn:  fn,
-			In:  make([]*bitset.Set, n),
-			Out: make([]*bitset.Set, n),
-			use: make([]*bitset.Set, n),
-			def: make([]*bitset.Set, n),
-		}
-		for i := 0; i < n; i++ {
-			info.In[i] = prev.In[i].CloneGrown(nr)
-			info.Out[i] = prev.Out[i].CloneGrown(nr)
-			info.use[i] = prev.use[i].CloneGrown(nr)
-			info.def[i] = prev.def[i].CloneGrown(nr)
-		}
-	}
-	info.ensureScratch(g, n, nr)
-
-	// The removed registers no longer occur anywhere, so their correct
-	// liveness is empty: clear their bits wholesale. (Their stale bits
-	// cannot be removed by iteration alone — around a loop they would
-	// sustain themselves.)
-	if len(removed) > 0 {
-		rm := info.tmp
-		rm.Clear()
-		for _, r := range removed {
-			rm.Add(int(r))
-		}
-		for i := 0; i < n; i++ {
-			if info.In[i].Intersects(rm) {
-				info.In[i].DiffWith(rm)
-				info.chg[i] = true
-			}
-			if info.Out[i].Intersects(rm) {
-				info.Out[i].DiffWith(rm)
-				info.chg[i] = true
-			}
-		}
-	}
-
-	// Re-scan the rewritten blocks' local sets and seed the worklist
-	// from them. Dirty blocks are always reported as changed: even if
-	// their liveness sets end up identical, their instructions did not,
-	// and downstream incremental consumers (the live-range block map)
-	// must re-scan them.
-	for _, b := range dirty {
-		info.localSets(fn.Blocks[b])
-		info.chg[b] = true
-		info.enqueue(b)
-	}
-	info.solve(g)
-
-	changed := make([]int, 0, len(dirty)+8)
-	for i := 0; i < n; i++ {
-		if info.chg[i] {
-			changed = append(changed, i)
-		}
-	}
-	return info, changed
 }
 
 // WalkBlock visits the instructions of block b backwards, calling visit

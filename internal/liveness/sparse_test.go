@@ -66,23 +66,6 @@ func denseSolve(fn *ir.Func, g *cfg.Graph) (in, out []*bitset.Set) {
 	return in, out
 }
 
-// setsEq compares set contents regardless of capacity (an Info kept
-// across a Rebase grows its sets lazily).
-func setsEq(a, b *bitset.Set) bool {
-	eq := true
-	a.ForEach(func(i int) {
-		if i >= b.Len() || !b.Has(i) {
-			eq = false
-		}
-	})
-	b.ForEach(func(i int) {
-		if i >= a.Len() || !a.Has(i) {
-			eq = false
-		}
-	})
-	return eq
-}
-
 // suiteFuncs compiles every benchmark program and yields each function
 // to f, tagged program/function.
 func suiteFuncs(t *testing.T, f func(tag string, fn *ir.Func)) {
@@ -98,32 +81,39 @@ func suiteFuncs(t *testing.T, f func(tag string, fn *ir.Func)) {
 	}
 }
 
+// checkSparseMatchesDense solves fn with the sparse worklist and with
+// the dense reference, over a fresh CFG, and fails on any difference.
+func checkSparseMatchesDense(t *testing.T, tag string, fn *ir.Func) {
+	t.Helper()
+	g := cfg.New(fn)
+	info := liveness.Compute(fn, g)
+	in, out := denseSolve(fn, g)
+	for i := range fn.Blocks {
+		if !info.In[i].Equal(in[i]) {
+			t.Errorf("%s block %d: sparse In diverges from dense", tag, i)
+		}
+		if !info.Out[i].Equal(out[i]) {
+			t.Errorf("%s block %d: sparse Out diverges from dense", tag, i)
+		}
+	}
+	if info.Visited < len(g.RPO) {
+		t.Errorf("%s: visited %d blocks, below the %d reachable", tag, info.Visited, len(g.RPO))
+	}
+}
+
 // TestSparseMatchesDense pins the tentpole equivalence: the sparse
 // worklist solver produces sets byte-identical to the dense
 // reverse-postorder sweep on every function of the benchmark suite.
 func TestSparseMatchesDense(t *testing.T) {
 	suiteFuncs(t, func(tag string, fn *ir.Func) {
-		g := cfg.New(fn)
-		info := liveness.Compute(fn, g)
-		in, out := denseSolve(fn, g)
-		for i := range fn.Blocks {
-			if !info.In[i].Equal(in[i]) {
-				t.Errorf("%s block %d: sparse In diverges from dense", tag, i)
-			}
-			if !info.Out[i].Equal(out[i]) {
-				t.Errorf("%s block %d: sparse Out diverges from dense", tag, i)
-			}
-		}
-		if info.Visited < len(g.RPO) {
-			t.Errorf("%s: visited %d blocks, below the %d reachable", tag, info.Visited, len(g.RPO))
-		}
+		checkSparseMatchesDense(t, tag, fn)
 	})
 }
 
-// spillSome rewrites fn with a deterministic spill-everywhere pass over
-// every third occurring register, returning what rewrite.InsertSpills
-// reported plus the registers removed.
-func spillSome(fn *ir.Func) (dirty []int, removed []ir.Reg) {
+// spillThird rewrites fn in place with spill-everywhere code for every
+// third occurring register, as a spill round does, and reports whether
+// it spilled anything.
+func spillThird(fn *ir.Func) bool {
 	occ := make([]bool, fn.NumRegs())
 	for _, b := range fn.Blocks {
 		for i := range b.Instrs {
@@ -152,94 +142,25 @@ func spillSome(fn *ir.Func) (dirty []int, removed []ir.Reg) {
 			Local: true,
 			Spill: true,
 		}
-		removed = append(removed, reg)
 	}
-	dirty = rewrite.InsertSpills(fn, spill, func(ir.Reg) {})
-	return dirty, removed
+	rewrite.InsertSpills(fn, spill, func(ir.Reg) {})
+	return len(spill) > 0
 }
 
-// TestRebaseMatchesFreshCompute pins the incremental update: after a
-// spill-everywhere rewrite, Rebase seeded from the dirty blocks must
-// land on exactly the sets a from-scratch Compute finds — through both
-// the copy-on-write path (a shared Fork, mutate=false) and the in-place
-// path (mutate=true) — and the changed list must cover every block
-// whose sets differ from the pre-rewrite solution.
-func TestRebaseMatchesFreshCompute(t *testing.T) {
-	rebased := 0
+// TestSparseMatchesDenseAfterSpill pins the solve every spill round
+// runs: after a spill-everywhere rewrite, the sparse solver over the
+// rewritten body and a fresh CFG matches the dense reference on every
+// function of the benchmark suite.
+func TestSparseMatchesDenseAfterSpill(t *testing.T) {
+	spilled := 0
 	suiteFuncs(t, func(tag string, fn *ir.Func) {
-		g := cfg.New(fn)
-		prev := liveness.Compute(fn, g)
-		fork := prev.Fork()
-
-		dirty, removed := spillSome(fn)
-		if len(dirty) == 0 {
+		if !spillThird(fn) {
 			return
 		}
-		rebased++
-		// Spill code never changes block structure, so the CFG is reused
-		// through a retargeted view — the manager's exact sequence.
-		g2 := g.Retarget(fn)
-		fresh := liveness.Compute(fn, g2)
-
-		check := func(mode string, got *liveness.Info, changed []int) {
-			t.Helper()
-			if changed == nil {
-				t.Fatalf("%s (%s): Rebase fell back to a full recompute", tag, mode)
-			}
-			inChanged := make(map[int]bool, len(changed))
-			for _, b := range changed {
-				inChanged[b] = true
-			}
-			for i := range fn.Blocks {
-				if !setsEq(got.In[i], fresh.In[i]) || !setsEq(got.Out[i], fresh.Out[i]) {
-					t.Errorf("%s (%s) block %d: rebased sets diverge from fresh Compute", tag, mode, i)
-				}
-				if !inChanged[i] &&
-					(!setsEq(got.In[i], fork.In[i]) || !setsEq(got.Out[i], fork.Out[i])) {
-					t.Errorf("%s (%s) block %d: sets changed but block not in changed list", tag, mode, i)
-				}
-			}
-		}
-
-		// Copy-on-write: the shared fork must be left untouched.
-		cow, changed := liveness.Rebase(fork, fn, g2, dirty, removed, false)
-		check("cow", cow, changed)
-		for i := range fn.Blocks {
-			if fork.In[i].Len() != prev.In[i].Len() {
-				t.Fatalf("%s block %d: mutate=false grew the shared fork", tag, i)
-			}
-		}
-
-		// In-place: prev is still the pre-rewrite solution.
-		inPlace, changed2 := liveness.Rebase(prev, fn, g2, dirty, removed, true)
-		check("in-place", inPlace, changed2)
-		if inPlace != prev {
-			t.Errorf("%s: mutate=true did not update in place", tag)
-		}
+		spilled++
+		checkSparseMatchesDense(t, tag+" after spill", fn)
 	})
-	if rebased == 0 {
-		t.Fatal("no function exercised the rebase path")
-	}
-}
-
-// TestRebaseDeclines pins the fallback contract: a nil dirty list (an
-// inserter that could not bound its effect) or a changed block count
-// yields a full recompute, signalled by a nil changed list.
-func TestRebaseDeclines(t *testing.T) {
-	prog, err := compile.Source(`int f(int a, int b) { return a + b; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := prog.FuncByName["f"]
-	g := cfg.New(fn)
-	prev := liveness.Compute(fn, g)
-	got, changed := liveness.Rebase(prev, fn, g, nil, nil, false)
-	if changed != nil {
-		t.Error("nil dirty list did not force a full recompute")
-	}
-	for i := range fn.Blocks {
-		if !got.In[i].Equal(prev.In[i]) || !got.Out[i].Equal(prev.Out[i]) {
-			t.Errorf("block %d: fallback recompute diverges", i)
-		}
+	if spilled == 0 {
+		t.Fatal("no function had a register to spill")
 	}
 }

@@ -13,39 +13,27 @@ import (
 // the per-register sets of the range's coalesced members and counting —
 // exactly the block set the classic per-representative scan touches.
 //
-// The map exists so spill rounds can update Size incrementally: a
-// spill rewrite changes liveness only in the blocks it modified plus
-// whatever the worklist propagation reached (liveness.Rebase reports
-// both), so only those columns need re-scanning. A frozen round-0
-// BlockMap may be shared by many goroutines; incremental updates go
-// through Clone first (pipeline.AnalysisManager owns that discipline).
+// The map depends only on the function and its liveness, so the
+// round-0 map is built once per function and shared, frozen, by every
+// allocation of it (pipeline.FuncCache).
 type BlockMap struct {
 	// perReg[r] holds the blocks where register r is live or
 	// referenced; sets are sized to the function's block count.
 	perReg []*bitset.Set
-	// perBlock[b] is the transpose — the registers live or referenced
-	// in block b — kept so a column update can diff old against new
-	// without consulting any other column.
-	perBlock []*bitset.Set
-
-	col *bitset.Set // scratch column for Rebase
 }
 
 // NewBlockMap scans fn under live and builds the full map.
 func NewBlockMap(fn *ir.Func, live *liveness.Info) *BlockMap {
 	nb := len(fn.Blocks)
 	nr := fn.NumRegs()
-	bm := &BlockMap{
-		perReg:   make([]*bitset.Set, nr),
-		perBlock: make([]*bitset.Set, nb),
-	}
+	bm := &BlockMap{perReg: make([]*bitset.Set, nr)}
 	for r := range bm.perReg {
 		bm.perReg[r] = bitset.New(nb)
 	}
+	col := bitset.New(nr)
 	for _, b := range fn.Blocks {
-		col := bitset.New(nr)
+		col.Clear()
 		fillColumn(col, fn, live, b)
-		bm.perBlock[b.ID] = col
 		id := b.ID
 		col.ForEach(func(r int) { bm.perReg[r].Add(id) })
 	}
@@ -67,25 +55,6 @@ func fillColumn(col *bitset.Set, fn *ir.Func, live *liveness.Info, b *ir.Block) 
 	}
 }
 
-// Clone returns a deep, privately-owned copy of bm (the scratch column
-// is not shared).
-func (bm *BlockMap) Clone() *BlockMap {
-	c := &BlockMap{
-		perReg:   make([]*bitset.Set, len(bm.perReg)),
-		perBlock: make([]*bitset.Set, len(bm.perBlock)),
-	}
-	for i, s := range bm.perReg {
-		c.perReg[i] = s.Clone()
-	}
-	for i, s := range bm.perBlock {
-		c.perBlock[i] = s.Clone()
-	}
-	return c
-}
-
-// Blocks reports how many blocks the map covers.
-func (bm *BlockMap) Blocks() int { return len(bm.perBlock) }
-
 // Of returns the set of blocks where register r is live or referenced.
 // The set is shared with the map; callers must treat it as read-only.
 // Out of range (a register newer than the map) returns nil, which reads
@@ -97,93 +66,11 @@ func (bm *BlockMap) Of(r ir.Reg) *bitset.Set {
 	return bm.perReg[r]
 }
 
-// Rebase updates bm — which must be privately owned — to the current
-// fn and live by re-scanning only the listed blocks (unique IDs; the
-// changed set liveness.Rebase reports). New registers get empty rows
-// first; each listed column is recomputed and diffed against the old
-// column, flipping only the row bits that actually changed.
-func (bm *BlockMap) Rebase(fn *ir.Func, live *liveness.Info, blocks []int) {
-	nb := len(bm.perBlock)
-	nr := fn.NumRegs()
-	for r := len(bm.perReg); r < nr; r++ {
-		bm.perReg = append(bm.perReg, bitset.New(nb))
-	}
-	if bm.col == nil || bm.col.Len() < nr {
-		bm.col = bitset.New(nr)
-	}
-	for _, id := range blocks {
-		old := bm.perBlock[id]
-		old.Grow(nr)
-		col := bm.col
-		col.Clear()
-		fillColumn(col, fn, live, fn.Blocks[id])
-		blockID := id
-		col.ForEach(func(r int) {
-			if !old.Has(r) {
-				bm.perReg[r].Add(blockID)
-			}
-		})
-		old.ForEach(func(r int) {
-			if !col.Has(r) {
-				bm.perReg[r].Remove(blockID)
-			}
-		})
-		old.Copy(col)
-	}
-}
-
-// Equal reports whether two maps describe the same live-or-referenced
-// relation. Set widths may differ (Rebase grows columns lazily, so an
-// untouched column keeps its old register capacity); the comparison is
-// over contents. It exists for the differential tests that pin the
-// incremental Rebase against a from-scratch NewBlockMap.
-func (bm *BlockMap) Equal(o *BlockMap) bool {
-	if len(bm.perReg) != len(o.perReg) || len(bm.perBlock) != len(o.perBlock) {
-		return false
-	}
-	for i, s := range bm.perReg {
-		if !setsEqual(s, o.perReg[i]) {
-			return false
-		}
-	}
-	for i, s := range bm.perBlock {
-		if !setsEqual(s, o.perBlock[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// setsEqual compares set contents regardless of capacity.
-func setsEqual(a, b *bitset.Set) bool {
-	eq := true
-	a.ForEach(func(i int) {
-		if i >= b.Len() || !b.Has(i) {
-			eq = false
-		}
-	})
-	b.ForEach(func(i int) {
-		if i >= a.Len() || !a.Has(i) {
-			eq = false
-		}
-	})
-	return eq
-}
-
-// sizeOf counts the blocks where any of the member registers is live
-// or referenced, accumulating into scratch (sized to the block count).
-func (bm *BlockMap) sizeOf(members []ir.Reg, scratch *bitset.Set) int {
-	scratch.Clear()
-	for _, m := range members {
-		scratch.UnionWith(bm.perReg[m])
-	}
-	return scratch.Count()
-}
-
-// sizeOfRange is sizeOf over the members of rep's live range, walking
-// the graph's member cycle directly instead of materializing the
-// member slice (union is order-insensitive, so the unsorted walk gives
-// the same count).
+// sizeOfRange counts the blocks where any member of rep's live range
+// is live or referenced, accumulating into scratch (sized to the block
+// count). It walks the graph's member cycle directly instead of
+// materializing the member slice (union is order-insensitive, so the
+// unsorted walk gives the same count).
 func (bm *BlockMap) sizeOfRange(g *interference.Graph, rep ir.Reg, scratch *bitset.Set) int {
 	scratch.Clear()
 	g.ForEachMember(rep, func(m ir.Reg) {

@@ -1,7 +1,6 @@
 package liverange_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/benchprog"
@@ -12,87 +11,11 @@ import (
 	"repro/internal/ir"
 	"repro/internal/liveness"
 	"repro/internal/liverange"
-	"repro/internal/rewrite"
 )
 
-// spillThird rewrites fn with spill-everywhere code for every third
-// occurring register, mirroring what a spill round does, and returns
-// rewrite.InsertSpills' dirty-block report plus the removed registers.
-func spillThird(fn *ir.Func) (dirty []int, removed []ir.Reg) {
-	occ := make([]bool, fn.NumRegs())
-	for _, b := range fn.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.HasDst() {
-				occ[in.Dst] = true
-			}
-			for _, a := range in.Args {
-				occ[a] = true
-			}
-		}
-	}
-	spill := make(map[ir.Reg]*ir.Symbol)
-	k := 0
-	for r := 0; r < len(occ); r++ {
-		if !occ[r] {
-			continue
-		}
-		if k++; k%3 != 0 {
-			continue
-		}
-		reg := ir.Reg(r)
-		spill[reg] = &ir.Symbol{
-			Name:  fmt.Sprintf("%s.t%d", fn.Name, r),
-			Class: fn.RegClass(reg),
-			Local: true,
-			Spill: true,
-		}
-		removed = append(removed, reg)
-	}
-	dirty = rewrite.InsertSpills(fn, spill, func(ir.Reg) {})
-	return dirty, removed
-}
-
-// TestBlockMapRebaseMatchesFresh pins the incremental Size update: a
-// BlockMap rebased over only the blocks the liveness update changed
-// must equal a from-scratch NewBlockMap over the rewritten function,
-// on every function of the benchmark suite.
-func TestBlockMapRebaseMatchesFresh(t *testing.T) {
-	exercised := 0
-	for _, name := range benchprog.Names() {
-		prog, err := compile.Source(benchprog.ByName(name).Source)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, fn := range prog.Funcs {
-			g := cfg.New(fn)
-			live := liveness.Compute(fn, g)
-			bm := liverange.NewBlockMap(fn, live)
-
-			dirty, removed := spillThird(fn)
-			if len(dirty) == 0 {
-				continue
-			}
-			exercised++
-			live2, changed := liveness.Rebase(live, fn, g.Retarget(fn), dirty, removed, true)
-			if changed == nil {
-				t.Fatalf("%s/%s: Rebase declined", name, fn.Name)
-			}
-			bm.Rebase(fn, live2, changed)
-			fresh := liverange.NewBlockMap(fn, live2)
-			if !bm.Equal(fresh) {
-				t.Errorf("%s/%s: rebased block map diverges from fresh scan", name, fn.Name)
-			}
-		}
-	}
-	if exercised == 0 {
-		t.Fatal("no function exercised the rebase path")
-	}
-}
-
-// TestAnalyzeWithSharedMap pins that Analyze through a prebuilt (or
-// rebased) BlockMap produces identical Size metrics to the plain path,
-// which derives the map itself.
+// TestAnalyzeWithSharedMap pins that Analyze through a prebuilt
+// BlockMap produces identical Size metrics to the plain path, which
+// derives the map itself.
 func TestAnalyzeWithSharedMap(t *testing.T) {
 	for _, name := range benchprog.Names() {
 		prog, err := compile.Source(benchprog.ByName(name).Source)

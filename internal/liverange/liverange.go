@@ -110,12 +110,11 @@ func Analyze(fn *ir.Func, live *liveness.Info, graphs *[ir.NumClasses]*interfere
 	return AnalyzeWith(nil, fn, live, graphs, ff, noSpill)
 }
 
-// AnalyzeWith is Analyze consuming a prebuilt (possibly incrementally
-// rebased) BlockMap for the Size metric; bm must cover fn's current
-// blocks and registers. A nil bm builds one on the spot, which is how
-// Analyze runs — so the full and incremental paths share every line of
-// the cost computation and can only differ if the block map itself
-// does (pinned by the differential tests).
+// AnalyzeWith is Analyze consuming a prebuilt BlockMap for the Size
+// metric (the shared round-0 map, for instance); bm must cover fn's
+// current blocks and registers. A nil bm builds one on the spot, which
+// is how Analyze runs — so both paths share every line of the cost
+// computation.
 func AnalyzeWith(bm *BlockMap, fn *ir.Func, live *liveness.Info, graphs *[ir.NumClasses]*interference.Graph, ff *freq.FuncFreq, noSpill func(ir.Reg) bool) *Set {
 	return AnalyzeCosts(bm, fn, live, graphs, ff, noSpill, nil)
 }

@@ -61,9 +61,9 @@ const (
 	// on a hit, so a single cold allocation's event stream is unchanged.
 	KindPrepCache
 	// KindLiveness records one dataflow solve: Reason carries the mode
-	// ("full" from-scratch solve vs. "update" incremental re-solve from
-	// the spill-rewritten blocks), N the number of block visits the
-	// sparse worklist performed, and Total the function's block count.
+	// (always "full", a from-scratch solve over the whole function), N
+	// the number of block visits the sparse worklist performed, and
+	// Total the function's block count.
 	// Not emitted when liveness was served from an already-built shared
 	// cache without solving.
 	KindLiveness

@@ -11,9 +11,7 @@
 // formerly regalloc.PreparedFunc): while the working function is still
 // the prepared original, a "valid" analysis is served as a copy-on-write
 // view of the shared frozen artifact; after a spill rewrite invalidates
-// it, the analysis is recomputed — incrementally where possible (the
-// interference graphs go through Reconstruct, seeded by the stale
-// graphs the manager retains).
+// it, the analysis is recomputed from scratch on the rewritten body.
 //
 // The concrete passes of the allocator (liveness, build-graph,
 // coalesce, liverange, color, spill-rewrite) live in package regalloc,

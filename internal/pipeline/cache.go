@@ -121,7 +121,7 @@ func (p *FuncCache) Coalesced() *[ir.NumClasses]*interference.Graph {
 
 // BlockMap returns the frozen round-0 live-range block map, built once
 // from the cached liveness. Like the other shared artifacts it must
-// not be mutated; incremental updates go through Clone.
+// not be mutated.
 func (p *FuncCache) BlockMap() *liverange.BlockMap {
 	p.bmOnce.Do(func() {
 		p.EnsureLive()

@@ -10,15 +10,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Liveness modes reported by LiveStat — how the manager obtained the
-// current liveness solution. The obs `liveness` event carries them.
-const (
-	// LiveModeFull: a from-scratch sparse solve over the whole function.
-	LiveModeFull = "full"
-	// LiveModeUpdate: an incremental re-solve seeded from the blocks
-	// the spill rewrite modified (liveness.Rebase).
-	LiveModeUpdate = "update"
-)
+// LiveModeFull is the liveness mode LiveStat reports for a solve: a
+// from-scratch sparse solve over the whole function. The obs
+// `liveness` event carries it.
+const LiveModeFull = "full"
 
 // AnalysisManager owns the analysis artifacts of one allocation run and
 // tracks their validity. Passes request analyses through it; the runner
@@ -32,14 +27,9 @@ const (
 // analysis is served from the FuncCache as a copy-on-write view — a
 // liveness Fork, an interference Snapshot, or the frozen live-range
 // block map — leaving the shared artifact frozen. Once a spill rewrite
-// has replaced the function, the cache no longer applies and analyses
-// are recomputed — incrementally where the rewrite evidence allows:
-// the interference graphs are patched by interference.Reconstruct from
-// the previous round's (now stale) graphs, liveness is re-solved only
-// from the rewritten blocks by liveness.Rebase (reusing the CFG
-// through a retargeted view, since spill code never changes block
-// structure), and the live-range block map re-scans only the blocks
-// whose liveness the update actually changed.
+// has replaced the function, the cache no longer applies and every
+// analysis — the CFG, liveness, the base interference graphs and the
+// block map — is recomputed from scratch on the rewritten body.
 //
 // A manager belongs to one State and is not safe for concurrent use;
 // concurrency happens one level up, with many managers reading one
@@ -51,38 +41,13 @@ type AnalysisManager struct {
 
 	cfg  *cfg.Graph
 	live *liveness.Info
-	// liveOwned marks live as privately owned (safe for Rebase to
-	// mutate); a round-0 Fork of the cached Info is shared and must be
-	// rebased copy-on-write.
-	liveOwned bool
-	// base holds the current per-class uncoalesced graphs. After an
-	// invalidation the entries are stale rather than discarded: they
-	// are exactly what Reconstruct patches into the next round's
-	// graphs.
+	// base holds the current per-class uncoalesced graphs.
 	base [ir.NumClasses]*interference.Graph
+	bm   *liverange.BlockMap
 
-	// bm is the live-range block map, with the same stale-then-rebased
-	// lifecycle as base; bmOwned mirrors liveOwned for the shared
-	// round-0 artifact.
-	bm      *liverange.BlockMap
-	bmOwned bool
-
-	// Rewrite evidence for incremental reconstruction: the registers
-	// spilled by the last rewrite, the temporaries it introduced, and
-	// the blocks it modified (haveDirty distinguishes "no rewrite
-	// happened" from an inserter that reported nil = unknown).
-	spilled   map[ir.Reg]*ir.Symbol
-	temps     map[ir.Reg]bool
-	dirty     []int
-	haveDirty bool
-
-	// changed lists the blocks whose liveness sets the last Rebase may
-	// have changed (consumed by the block-map update); liveMode and
-	// liveVisited describe the last solve for LiveStat.
-	changed     []int
-	haveChanged bool
-	liveMode    string
-	liveVisited int
+	// solved records that the last liveness request ran the solver
+	// rather than forking an already-built shared solution.
+	solved bool
 }
 
 // NewAnalysisManager returns a manager serving analyses of the cached
@@ -108,45 +73,23 @@ func (m *AnalysisManager) Invalidate(preserved AnalysisSet) { m.valid &= preserv
 func (m *AnalysisManager) MarkValid(a Analysis) { m.valid = m.valid.With(a) }
 
 // SetFunc switches the manager to a rewritten working function (the
-// lazily-created clone). Everything is invalidated; the stale base
-// graphs, liveness, and block map are retained as incremental seeds,
-// but any not-yet-consumed rewrite evidence is dropped — it described
-// a different function.
+// lazily-created clone). Everything is invalidated.
 func (m *AnalysisManager) SetFunc(fn *ir.Func) {
 	m.fn = fn
 	m.valid = PreserveNone
-	m.haveDirty = false
-	m.haveChanged = false
-}
-
-// RecordRewrite stores the evidence of a spill rewrite — which
-// registers were sent to memory, which temporaries the rewrite
-// introduced, and which blocks it modified — for the next round's
-// incremental reconstruction and dataflow update. A nil dirty slice
-// means the inserter could not bound its effect; the next liveness
-// request then falls back to a full solve.
-func (m *AnalysisManager) RecordRewrite(spilled map[ir.Reg]*ir.Symbol, temps map[ir.Reg]bool, dirty []int) {
-	m.spilled = spilled
-	m.temps = temps
-	m.dirty = dirty
-	m.haveDirty = dirty != nil
 }
 
 // Liveness returns the liveness of the working function, computing it
 // if invalid. While the working function is the cached original the
 // result is a private Fork of the shared frozen Info; hit reports
 // whether the shared artifact was already built (the prep-cache hit
-// signal). After a rewrite the previous solution is updated
-// incrementally from the rewritten blocks (liveness.Rebase), reusing
-// the CFG through a retargeted view — unless rebuild is set, no
-// rewrite evidence exists, or the block structure changed, in which
-// case liveness and the CFG are recomputed from scratch.
-func (m *AnalysisManager) Liveness(rebuild bool) (live *liveness.Info, hit bool) {
+// signal). After a rewrite the CFG and liveness are recomputed from
+// scratch.
+func (m *AnalysisManager) Liveness() (live *liveness.Info, hit bool) {
 	if m.valid.Has(AnalysisLiveness) {
 		return m.live, true
 	}
-	switch {
-	case m.FromCache():
+	if m.FromCache() {
 		hit = !m.cache.EnsureLive()
 		if b := telemetry.B(); b != nil {
 			if hit {
@@ -157,58 +100,31 @@ func (m *AnalysisManager) Liveness(rebuild bool) (live *liveness.Info, hit bool)
 		}
 		m.cfg = m.cache.CFG()
 		m.live = m.cache.Liveness().Fork()
-		m.liveOwned = false
-		m.haveChanged = false
-		m.liveMode = ""
-		if !hit {
-			m.liveMode = LiveModeFull
-		}
-	case !rebuild && m.haveDirty && m.live != nil && m.cfg != nil &&
-		len(m.fn.Blocks) == len(m.live.In):
-		m.cfg = m.cfg.Retarget(m.fn)
-		removed := make([]ir.Reg, 0, len(m.spilled))
-		for r := range m.spilled {
-			removed = append(removed, r)
-		}
-		var chg []int
-		m.live, chg = liveness.Rebase(m.live, m.fn, m.cfg, m.dirty, removed, m.liveOwned)
-		m.liveOwned = true
-		m.changed = chg
-		m.haveChanged = chg != nil
-		m.liveMode = LiveModeUpdate
-		if chg == nil {
-			// Rebase declined and recomputed densely.
-			m.liveMode = LiveModeFull
-		}
-	default:
+	} else {
 		m.cfg = cfg.New(m.fn)
 		m.live = liveness.Compute(m.fn, m.cfg)
-		m.liveOwned = true
-		m.haveChanged = false
-		m.liveMode = LiveModeFull
 	}
-	m.haveDirty = false // consumed; a fresh rewrite must re-arm it
-	m.liveVisited = m.live.Visited
+	m.solved = !hit
 	m.valid = m.valid.With(AnalysisCFG).With(AnalysisLiveness)
 	return m.live, hit
 }
 
 // LiveStat describes how the current liveness solution was last
-// obtained: the mode (LiveModeFull or LiveModeUpdate; empty when it
-// was served from the already-built shared cache without solving), the
-// number of block visits the solver performed, and the function's
-// total block count. The liveness pass turns this into the obs
-// `liveness` event.
+// obtained: the mode (LiveModeFull; empty when it was served from the
+// already-built shared cache without solving), the number of block
+// visits the solver performed, and the function's total block count.
+// The liveness pass turns this into the obs `liveness` event.
 func (m *AnalysisManager) LiveStat() (mode string, visited, total int) {
-	return m.liveMode, m.liveVisited, len(m.fn.Blocks)
+	if m.solved {
+		mode = LiveModeFull
+	}
+	return mode, m.live.Visited, len(m.fn.Blocks)
 }
 
 // CFG returns the control-flow graph of the working function,
 // computing it (together with liveness) if invalid.
 func (m *AnalysisManager) CFG() *cfg.Graph {
-	if !m.valid.Has(AnalysisCFG) {
-		m.Liveness(false)
-	}
+	m.Liveness()
 	return m.cfg
 }
 
@@ -216,10 +132,8 @@ func (m *AnalysisManager) CFG() *cfg.Graph {
 // interference graphs of the working function. While the working
 // function is the cached original they are copy-on-write Snapshots of
 // the shared frozen graphs; hit reports whether those were already
-// built. After a rewrite the stale graphs are patched in place by
-// interference.Reconstruct — or rebuilt from scratch when rebuild is
-// set or no seed exists.
-func (m *AnalysisManager) Interference(rebuild bool) (hit bool) {
+// built. After a rewrite they are built from scratch.
+func (m *AnalysisManager) Interference() (hit bool) {
 	if m.valid.Has(AnalysisInterference) {
 		return true
 	}
@@ -236,16 +150,9 @@ func (m *AnalysisManager) Interference(rebuild bool) (hit bool) {
 			m.base[c] = m.cache.BaseGraph(c).Snapshot()
 		}
 	} else {
-		if !m.valid.Has(AnalysisLiveness) {
-			m.Liveness(rebuild)
-		}
+		live, _ := m.Liveness()
 		for c := ir.Class(0); c < ir.NumClasses; c++ {
-			if rebuild || m.base[c] == nil {
-				m.base[c] = interference.Build(m.fn, m.live, c)
-			} else {
-				m.base[c] = interference.Reconstruct(m.base[c], m.fn, m.live, m.spilled,
-					func(r ir.Reg) bool { return m.temps[r] })
-			}
+			m.base[c] = interference.Build(m.fn, live, c)
 		}
 	}
 	m.valid = m.valid.With(AnalysisInterference)
@@ -253,33 +160,18 @@ func (m *AnalysisManager) Interference(rebuild bool) (hit bool) {
 }
 
 // BlockMap materializes the live-range block map of the working
-// function: the frozen shared map at round 0, an incremental column
-// update over the blocks the liveness rebase changed after a spill
-// rewrite (cloning the shared map copy-on-write first), or a full
-// rebuild when no usable seed or change list exists. Liveness must be
-// valid; the ranges pass guarantees that order.
+// function: the frozen shared map at round 0, a fresh scan after a
+// spill rewrite.
 func (m *AnalysisManager) BlockMap() *liverange.BlockMap {
 	if m.valid.Has(AnalysisBlockMap) {
 		return m.bm
 	}
-	if !m.valid.Has(AnalysisLiveness) {
-		m.Liveness(false)
-	}
-	switch {
-	case m.FromCache():
+	live, _ := m.Liveness()
+	if m.FromCache() {
 		m.bm = m.cache.BlockMap()
-		m.bmOwned = false
-	case m.haveChanged && m.bm != nil && m.bm.Blocks() == len(m.fn.Blocks):
-		if !m.bmOwned {
-			m.bm = m.bm.Clone()
-			m.bmOwned = true
-		}
-		m.bm.Rebase(m.fn, m.live, m.changed)
-	default:
-		m.bm = liverange.NewBlockMap(m.fn, m.live)
-		m.bmOwned = true
+	} else {
+		m.bm = liverange.NewBlockMap(m.fn, live)
 	}
-	m.haveChanged = false // consumed
 	m.valid = m.valid.With(AnalysisBlockMap)
 	return m.bm
 }

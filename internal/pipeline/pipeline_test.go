@@ -221,7 +221,7 @@ func TestAnalysisManagerServesCacheViews(t *testing.T) {
 	if !am1.FromCache() {
 		t.Fatal("fresh manager should be on the cached function")
 	}
-	live1, hit := am1.Liveness(false)
+	live1, hit := am1.Liveness()
 	if hit {
 		t.Error("first liveness request against a cold cache reported a hit")
 	}
@@ -230,11 +230,11 @@ func TestAnalysisManagerServesCacheViews(t *testing.T) {
 	}
 
 	am2 := pipeline.NewAnalysisManager(cache)
-	if _, hit := am2.Liveness(false); !hit {
+	if _, hit := am2.Liveness(); !hit {
 		t.Error("second manager on the same cache missed")
 	}
 
-	if hit := am1.Interference(false); hit {
+	if hit := am1.Interference(); hit {
 		t.Error("first interference request against a cold cache reported a hit")
 	}
 	for c := ir.Class(0); c < ir.NumClasses; c++ {
@@ -246,7 +246,7 @@ func TestAnalysisManagerServesCacheViews(t *testing.T) {
 			t.Errorf("class %v: snapshot view disagrees with the cached graph", c)
 		}
 	}
-	if hit := pipeline.NewAnalysisManager(cache).Interference(false); !hit {
+	if hit := pipeline.NewAnalysisManager(cache).Interference(); !hit {
 		t.Error("warm interference request missed")
 	}
 }
@@ -254,8 +254,8 @@ func TestAnalysisManagerServesCacheViews(t *testing.T) {
 func TestAnalysisManagerInvalidationAndSetFunc(t *testing.T) {
 	fn := testFunc(t)
 	am := pipeline.NewAnalysisManager(pipeline.NewFuncCache(fn))
-	am.Liveness(false)
-	am.Interference(false)
+	am.Liveness()
+	am.Interference()
 	if v := am.Valid(); !v.Has(pipeline.AnalysisLiveness) || !v.Has(pipeline.AnalysisInterference) {
 		t.Fatalf("valid = %v after materializing", v)
 	}
@@ -273,7 +273,7 @@ func TestAnalysisManagerInvalidationAndSetFunc(t *testing.T) {
 		t.Errorf("valid = %v after SetFunc, want none", am.Valid())
 	}
 	// Recomputation now targets the clone, not the cache.
-	live, hit := am.Liveness(false)
+	live, hit := am.Liveness()
 	if hit || live == nil {
 		t.Errorf("post-rewrite liveness: hit=%v live=%v", hit, live)
 	}
@@ -298,8 +298,8 @@ func TestStateCloneFnIsLazyAndIdempotent(t *testing.T) {
 
 func TestStateWorkGraphsFillsMissingEntries(t *testing.T) {
 	s := newTestState(t)
-	s.AM.Liveness(false)
-	s.AM.Interference(false)
+	s.AM.Liveness()
+	s.AM.Interference()
 	graphs := s.WorkGraphs()
 	for c := ir.Class(0); c < ir.NumClasses; c++ {
 		if graphs[c] == nil {

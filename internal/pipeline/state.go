@@ -144,8 +144,8 @@ func (s *State) Converged() bool { return len(s.SpillSet) == 0 }
 // any entry no pass produced with a copy-on-write snapshot of the base
 // graph — the degenerate "no coalescing" product. This keeps a
 // pipeline with the coalesce pass dropped well-formed, and guarantees
-// downstream passes never receive the base graph itself: nothing they
-// do may reach the frozen artifact Reconstruct patches next round.
+// downstream passes never receive the base graph itself: it stays the
+// round's valid uncoalesced analysis, whatever they do to theirs.
 func (s *State) WorkGraphs() *[ir.NumClasses]*interference.Graph {
 	for c := range s.Graphs {
 		if s.Graphs[c] == nil {

@@ -33,12 +33,8 @@ func AllocateLegacy(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.
 	slotOf := make(map[ir.Reg]*ir.Symbol)
 	isNoSpill := func(r ir.Reg) bool { return noSpill[r] }
 
-	// State for the graph-reconstruction phase: the uncoalesced graphs
-	// of the previous round, the registers spilled last round, and the
-	// temporaries the spill rewrite introduced.
+	// The uncoalesced graphs of the current round.
 	var baseGraphs [ir.NumClasses]*interference.Graph
-	var lastSpilled map[ir.Reg]*ir.Symbol
-	lastTemps := make(map[ir.Reg]bool)
 
 	tr := opts.Tracer
 	traced := tr != nil && tr.Enabled()
@@ -84,12 +80,7 @@ func AllocateLegacy(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.
 				t0 = phaseStart(tr, work.Name, round, obs.PhaseBuild)
 			}
 			for c := ir.Class(0); c < ir.NumClasses; c++ {
-				if opts.Rebuild {
-					baseGraphs[c] = interference.Build(work, live, c)
-				} else {
-					baseGraphs[c] = interference.Reconstruct(baseGraphs[c], work, live, lastSpilled,
-						func(r ir.Reg) bool { return lastTemps[r] })
-				}
+				baseGraphs[c] = interference.Build(work, live, c)
 			}
 			if traced {
 				phaseEnd(tr, work.Name, round, obs.PhaseBuild, t0)
@@ -120,7 +111,7 @@ func AllocateLegacy(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.
 				} else {
 					// A snapshot, never the base itself: nothing the
 					// coloring round does to graphs[c] may reach the base
-					// graph that Reconstruct patches next round.
+					// graph.
 					graphs[c] = baseGraphs[c].Snapshot()
 				}
 			}
@@ -198,8 +189,6 @@ func AllocateLegacy(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.
 		for r, slot := range spillSet {
 			slotOf[r] = slot
 		}
-		lastSpilled = spillSet
-		lastTemps = make(map[ir.Reg]bool)
 		if traced {
 			t0 = phaseStart(tr, work.Name, round, obs.PhaseRewrite)
 		}
@@ -209,10 +198,7 @@ func AllocateLegacy(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.
 			work = fn.Clone()
 			cloned = true
 		}
-		insertSpills(work, spillSet, func(t ir.Reg) {
-			noSpill[t] = true
-			lastTemps[t] = true
-		})
+		insertSpills(work, spillSet, func(t ir.Reg) { noSpill[t] = true })
 		if traced {
 			phaseEnd(tr, work.Name, round, obs.PhaseRewrite, t0)
 		}

@@ -21,33 +21,29 @@ import (
 //
 // Ablations edit a Pipeline value instead of threading booleans:
 // Replace(obs.PhaseCoalesce, CoalescePass(BriggsCoalesce)) switches the
-// coalescing test, Drop(obs.PhaseCoalesce) removes coalescing
-// entirely, Replace(obs.PhaseBuild, BuildGraphPass(true)) disables
-// incremental graph reconstruction.
+// coalescing test, and Drop(obs.PhaseCoalesce) removes coalescing
+// entirely.
 
 // LivenessPass materializes the CFG and liveness of the working
 // function. At round 0 it is served as a fork of the shared cached
-// solution; after a spill rewrite the previous round's solution is
-// updated incrementally from the rewritten blocks (liveness.Rebase,
-// with the CFG reused through a retargeted view) — or re-solved from
-// scratch when rebuild is set, the compile-time ablation mirroring
-// BuildGraphPass(true).
-func LivenessPass(rebuild bool) pipeline.Pass { return livenessPass{rebuild: rebuild} }
+// solution; after a spill rewrite both are recomputed from scratch on
+// the rewritten body.
+func LivenessPass() pipeline.Pass { return livenessPass{} }
 
-type livenessPass struct{ rebuild bool }
+type livenessPass struct{}
 
 func (livenessPass) Name() string                    { return obs.PhaseLiveness }
 func (livenessPass) Preserves() pipeline.AnalysisSet { return pipeline.PreserveAll }
 
-func (p livenessPass) Run(s *pipeline.State) error {
-	s.Live, s.LiveHit = s.AM.Liveness(p.rebuild)
+func (livenessPass) Run(s *pipeline.State) error {
+	s.Live, s.LiveHit = s.AM.Liveness()
 	return nil
 }
 
-// PostPhase reports how the round's liveness was obtained — full solve
-// or incremental update, and how many blocks the worklist visited —
-// after the phase timing window closes. Nothing is emitted when the
-// solution came from the already-built shared cache without solving.
+// PostPhase reports the round's liveness solve — its mode and how many
+// blocks the worklist visited — after the phase timing window closes.
+// Nothing is emitted when the solution came from the already-built
+// shared cache without solving.
 func (livenessPass) PostPhase(s *pipeline.State) {
 	if !s.Traced() {
 		return
@@ -61,19 +57,18 @@ func (livenessPass) PostPhase(s *pipeline.State) {
 }
 
 // BuildGraphPass materializes the per-class base interference graphs:
-// copy-on-write views of the shared cache at round 0, incremental
-// reconstruction from the previous round's graphs after a spill
-// rewrite — or a from-scratch rebuild when rebuild is set (the
-// compile-time ablation of the paper's reconstruction optimization).
-func BuildGraphPass(rebuild bool) pipeline.Pass { return buildGraphPass{rebuild: rebuild} }
+// copy-on-write views of the shared cache at round 0, and graphs built
+// from scratch on the rewritten body after a spill rewrite (the
+// paper's graph-reconstruction phase).
+func BuildGraphPass() pipeline.Pass { return buildGraphPass{} }
 
-type buildGraphPass struct{ rebuild bool }
+type buildGraphPass struct{}
 
 func (buildGraphPass) Name() string                    { return obs.PhaseBuild }
 func (buildGraphPass) Preserves() pipeline.AnalysisSet { return pipeline.PreserveAll }
 
-func (p buildGraphPass) Run(s *pipeline.State) error {
-	s.BaseHit = s.AM.Interference(p.rebuild)
+func (buildGraphPass) Run(s *pipeline.State) error {
+	s.BaseHit = s.AM.Interference()
 	return nil
 }
 
@@ -135,9 +130,8 @@ func (p coalescePass) Run(s *pipeline.State) error {
 		return nil
 	}
 	for c := ir.Class(0); c < ir.NumClasses; c++ {
-		// Always a snapshot, never the base itself: nothing the
-		// coloring round does to the working graph may reach the frozen
-		// graph that Reconstruct patches next round.
+		// Always a snapshot, never the base itself: the base stays the
+		// round's valid uncoalesced graph.
 		g := s.AM.Base(c).Snapshot()
 		if p.mode != NoCoalesce {
 			if s.Traced() {
@@ -268,12 +262,7 @@ func (p spillRewritePass) Run(s *pipeline.State) error {
 	// Rounds before the first rewrite run entirely on copy-on-write
 	// views of the original; only a spill rewrite needs a private body.
 	s.CloneFn()
-	temps := make(map[ir.Reg]bool)
-	dirty := p.insert(s.Fn, s.SpillSet, func(t ir.Reg) {
-		s.NoSpill[t] = true
-		temps[t] = true
-	})
-	s.AM.RecordRewrite(s.SpillSet, temps, dirty)
+	p.insert(s.Fn, s.SpillSet, func(t ir.Reg) { s.NoSpill[t] = true })
 	return nil
 }
 
@@ -305,8 +294,8 @@ func BuildPipeline(strat Strategy, insertSpills SpillInserter, opts Options) pip
 		mode = BriggsCoalesce
 	}
 	return pipeline.New(
-		LivenessPass(opts.Rebuild),
-		BuildGraphPass(opts.Rebuild),
+		LivenessPass(),
+		BuildGraphPass(),
 		CoalescePass(mode),
 		RangesCostPass(opts.Interproc),
 		ColorPass(strat),

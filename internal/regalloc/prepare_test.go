@@ -47,9 +47,8 @@ func freshBaseGraphs(fn *ir.Func) [ir.NumClasses]*interference.Graph {
 // TestNoCoalesceBaseGraphsStayFrozen pins the snapshot fix for the old
 // aliasing hazard: with coalescing off, the coloring round used to
 // receive the base graph itself, so anything it did (stale-entry
-// compaction, union-find path halving, or a later Reconstruct patching
-// it in place) reached the graph the next round — and now the prep
-// cache — relied on. Snapshot semantics must make that impossible even
+// compaction or union-find path halving) reached the graph the next
+// round — and now the prep cache — relied on. Snapshot semantics must make that impossible even
 // through a spilling multi-round allocation.
 func TestNoCoalesceBaseGraphsStayFrozen(t *testing.T) {
 	fn, ff := prepFixture(t, pressureSrc, "f")
@@ -63,7 +62,7 @@ func TestNoCoalesceBaseGraphsStayFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fa1.Rounds < 2 {
-		t.Fatalf("fixture no longer spills (rounds=%d); the regression needs a Reconstruct round", fa1.Rounds)
+		t.Fatalf("fixture no longer spills (rounds=%d); the regression needs a spill round", fa1.Rounds)
 	}
 	want := freshBaseGraphs(fn)
 	for c := ir.Class(0); c < ir.NumClasses; c++ {
@@ -97,7 +96,6 @@ func TestAllocatePreparedMatchesAllocateFunc(t *testing.T) {
 			{"default", func(o *regalloc.Options) {}},
 			{"conservative", func(o *regalloc.Options) { o.ConservativeCoalesce = true }},
 			{"no-coalesce", func(o *regalloc.Options) { o.Coalesce = false }},
-			{"rebuild", func(o *regalloc.Options) { o.Rebuild = true }},
 		} {
 			opts := regalloc.DefaultOptions()
 			mode.set(&opts)

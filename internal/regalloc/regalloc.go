@@ -690,15 +690,6 @@ type Options struct {
 	// ConservativeCoalesce uses the Briggs test instead of aggressive
 	// coalescing.
 	ConservativeCoalesce bool
-	// Rebuild disables the incremental spill-round analyses: after
-	// spill-code insertion the interference graph is rebuilt from
-	// scratch instead of patched, and liveness (with the CFG and the
-	// live-range block map) is re-solved densely instead of updated
-	// from the rewritten blocks. The incremental paths (the default)
-	// are the framework's compile-time optimization; both modes produce
-	// byte-identical allocations (checked by the test suite), so
-	// Rebuild exists for the compile-time ablation benchmarks.
-	Rebuild bool
 	// MaxRounds bounds build→color→spill iterations.
 	MaxRounds int
 	// Ctx, when non-nil, bounds the allocation with a deadline or
@@ -742,10 +733,10 @@ type Options struct {
 	// Pipeline overrides the pass pipeline. Nil — the default — runs
 	// BuildPipeline(strat, insertSpills, opts), i.e. the standard
 	// liveness → build-graph → coalesce → liverange → color →
-	// spill-rewrite sequence with the coalescing and rebuild options
-	// applied. Ablations set a derived pipeline (Replace/Drop) here;
-	// when set, the Coalesce, ConservativeCoalesce, and Rebuild fields
-	// are ignored — the pipeline already encodes them.
+	// spill-rewrite sequence with the coalescing options applied.
+	// Ablations set a derived pipeline (Replace/Drop) here; when set,
+	// the Coalesce and ConservativeCoalesce fields are ignored — the
+	// pipeline already encodes them.
 	Pipeline *pipeline.Pipeline
 }
 
@@ -792,12 +783,8 @@ type FuncAlloc struct {
 
 // SpillInserter abstracts the spill-code insertion phase; it lives in
 // package rewrite and is injected here to keep the framework free of a
-// dependency cycle. The returned slice lists the IDs of the blocks the
-// rewrite modified, in increasing order — the dirty seeds of the
-// incremental dataflow update. A nil return means "unknown" (the
-// rewrite may have changed anything, including block structure) and
-// forces the next round to recompute liveness from scratch.
-type SpillInserter func(fn *ir.Func, spill map[ir.Reg]*ir.Symbol, newTemp func(ir.Reg)) []int
+// dependency cycle.
+type SpillInserter func(fn *ir.Func, spill map[ir.Reg]*ir.Symbol, newTemp func(ir.Reg))
 
 // AllocateFunc runs the full framework loop on fn: build, coalesce,
 // color (via strat), and iterate through spill-code insertion until no

@@ -26,15 +26,11 @@ import (
 // InsertSpills rewrites fn in place so that the virtual registers in
 // spill live in their stack slots. newTemp is called for every
 // temporary created, letting the driver mark them unspillable. Spill
-// slots are appended to fn.Locals (each distinct slot once).
-//
-// It returns the IDs of the blocks it modified, in increasing order —
-// the dirty seeds of the incremental dataflow update
-// (liveness.Rebase). The rewrite never changes the block structure
-// (count, IDs, terminator targets), only inserts loads/stores and
-// renames occurrences within blocks, which is exactly the contract the
-// incremental analyses in pipeline.AnalysisManager rely on.
-func InsertSpills(fn *ir.Func, spill map[ir.Reg]*ir.Symbol, newTemp func(ir.Reg)) []int {
+// slots are appended to fn.Locals (each distinct slot once). The
+// rewrite never changes the block structure (count, IDs, terminator
+// targets): it only inserts loads and stores and renames occurrences
+// within blocks.
+func InsertSpills(fn *ir.Func, spill map[ir.Reg]*ir.Symbol, newTemp func(ir.Reg)) {
 	// Register the slots as locals in increasing spilled-register order:
 	// map iteration order would randomize the frame layout (and with it
 	// the assembly text) between otherwise identical runs.
@@ -83,7 +79,6 @@ func InsertSpills(fn *ir.Func, spill map[ir.Reg]*ir.Symbol, newTemp func(ir.Reg)
 		return nil
 	}
 
-	var dirty []int
 	// Per-instruction load dedup, reused across the whole walk: a
 	// handful of operands per instruction, so two parallel slices beat
 	// a map.
@@ -166,9 +161,7 @@ func InsertSpills(fn *ir.Func, spill map[ir.Reg]*ir.Symbol, newTemp func(ir.Reg)
 			out = append(out, in)
 		}
 		b.Instrs = out
-		dirty = append(dirty, b.ID)
 	}
-	return dirty
 }
 
 // CallSave lists the caller-save physical registers that must be saved

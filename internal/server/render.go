@@ -15,17 +15,17 @@ import (
 // allocation through the same code and byte-compares; volatile
 // metadata (cache counters, traces) lives on Response, outside Result.
 type Result struct {
-	Strategy string          `json:"strategy"`
-	Config   string          `json:"config"`
-	Funcs    []FuncResult    `json:"funcs"`
-	Assembly string          `json:"assembly"`
-	Overhead OverheadResult  `json:"overhead"`
+	Strategy string         `json:"strategy"`
+	Config   string         `json:"config"`
+	Funcs    []FuncResult   `json:"funcs"`
+	Assembly string         `json:"assembly"`
+	Overhead OverheadResult `json:"overhead"`
 }
 
 // FuncResult is the per-function allocation outcome, in program order.
 type FuncResult struct {
-	Name   string  `json:"name"`
-	Rounds int     `json:"rounds"`
+	Name   string `json:"name"`
+	Rounds int    `json:"rounds"`
 	// Colors is indexed by virtual register; -1 is unassigned (the
 	// register was spilled away or never occurs).
 	Colors []int   `json:"colors"`

@@ -226,10 +226,29 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"  /debug/pprof/         runtime profiles\n")
 }
 
+// maxBodyBytes bounds the body of an /allocate or /batch request. The
+// largest body the repo's own traffic sends is the warm /batch of
+// TestServerLoadSaturation, 454 KB, and the largest single request in
+// randprog.Corpus(1, 2000) is 85 KB. 8 MiB leaves ~18x headroom over
+// the first, and a client can no longer make the daemon buffer an
+// unbounded body before any other check runs.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the JSON body of r into v, reading at most
+// maxBodyBytes of it. On failure it returns the status to answer with:
+// 413 for an oversize body, 400 for a malformed one.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) int {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if status, err := decodeBody(w, r, &req); err != nil {
+		return writeJSON(w, status, errorBody{Error: "bad request body: " + err.Error()})
 	}
 	if r.URL.Query().Get("trace") == "1" {
 		req.Trace = true
@@ -248,8 +267,8 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) int {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	var reqs []Request
-	if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-		return writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if status, err := decodeBody(w, r, &reqs); err != nil {
+		return writeJSON(w, status, errorBody{Error: "bad request body: " + err.Error()})
 	}
 	ctx, cancel := s.requestContext(r.Context(), 0)
 	defer cancel()

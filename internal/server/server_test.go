@@ -238,6 +238,24 @@ func TestMalformedIRRejected(t *testing.T) {
 	}
 }
 
+// TestOversizeBodyRejected: an /allocate or /batch body past
+// maxBodyBytes gets a 413 without being decoded, and the daemon then
+// still answers a normal request.
+func TestOversizeBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	big := allocReq()
+	big.Source += "\n// " + strings.Repeat("x", maxBodyBytes)
+	if code, body := post(t, ts.URL+"/allocate", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize /allocate: status %d, want 413: %s", code, body)
+	}
+	if code, body := post(t, ts.URL+"/batch", []Request{allocReq(), big}); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize /batch: status %d, want 413: %s", code, body)
+	}
+	if code, body := post(t, ts.URL+"/allocate", allocReq()); code != http.StatusOK {
+		t.Fatalf("normal request after oversize ones: status %d: %s", code, body)
+	}
+}
+
 // TestBackpressure429: with the single worker held and the admission
 // queue full, the edge sheds with 429 and records it in the shed
 // counter.

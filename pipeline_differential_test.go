@@ -153,60 +153,3 @@ func BenchmarkDriverOverhead(b *testing.B) {
 		})
 	})
 }
-
-// TestIncrementalMatchesRebuild is the spill-round dataflow ablation
-// gate: the default pipeline — incremental liveness (Rebase from the
-// rewritten blocks through a retargeted CFG), incremental interference
-// reconstruction, and the incremental live-range block map — must be
-// byte-identical to the same pipeline with Options.Rebuild, which
-// recomputes every analysis from scratch each round.
-func TestIncrementalMatchesRebuild(t *testing.T) {
-	configs := []callcost.Config{
-		callcost.NewConfig(6, 4, 0, 0), // minimum: forces spill rounds
-		callcost.NewConfig(8, 6, 4, 4),
-	}
-	strategies := []callcost.Strategy{
-		callcost.Chaitin(),
-		callcost.ImprovedAll(),
-		callcost.Priority(callcost.PrioritySorting),
-		callcost.CBH(),
-	}
-	for _, name := range benchprog.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			src := benchprog.ByName(name).Source
-			fullProg, err := callcost.Compile(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			incProg, err := callcost.Compile(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pfFull := fullProg.StaticFreq()
-			pfInc := incProg.StaticFreq()
-			for _, strat := range strategies {
-				for _, config := range configs {
-					tag := fmt.Sprintf("%s %s at %s", name, strat.Name(), config)
-
-					full := callcost.DefaultAllocOptions()
-					full.Rebuild = true
-					full.Parallel = 1
-					want, err := fullProg.AllocateWithOptions(strat, config, pfFull, full)
-					if err != nil {
-						t.Fatalf("%s (rebuild): %v", tag, err)
-					}
-
-					inc := callcost.DefaultAllocOptions()
-					inc.Parallel = 1
-					got, err := incProg.AllocateWithOptions(strat, config, pfInc, inc)
-					if err != nil {
-						t.Fatalf("%s (incremental): %v", tag, err)
-					}
-					comparePlans(t, tag+" rebuild-vs-incremental", want, got)
-				}
-			}
-		})
-	}
-}
