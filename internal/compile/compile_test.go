@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/benchprog"
 	"repro/internal/compile"
+	"repro/internal/randprog"
 )
 
 func TestSourceSuccess(t *testing.T) {
@@ -38,5 +40,33 @@ func TestFileAttachesName(t *testing.T) {
 	_, err := compile.File("box.mc", `int main( { return 0; }`)
 	if err == nil || !strings.Contains(err.Error(), "box.mc:") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// serveHotSources is the MC source of every program the serve-hot
+// benchmark workload sends: randprog.Corpus(1, 64) and the benchmark
+// suite.
+func serveHotSources() []string {
+	var srcs []string
+	for s := int64(1); s <= 64; s++ {
+		srcs = append(srcs, randprog.Generate(s, randprog.ForSeed(s)))
+	}
+	for _, p := range benchprog.All() {
+		srcs = append(srcs, p.Source)
+	}
+	return srcs
+}
+
+// BenchmarkCompile compiles every serve-hot program once per op.
+func BenchmarkCompile(b *testing.B) {
+	srcs := serveHotSources()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			if _, err := compile.Source(src); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

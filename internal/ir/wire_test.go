@@ -128,3 +128,38 @@ func TestWireFuncDigestDistinguishes(t *testing.T) {
 		seen[data] = fn.Name
 	}
 }
+
+// BenchmarkDecodeProgram decodes the wire form of every serve-hot
+// program (randprog.Corpus(1, 64) and the benchmark suite) once per op.
+func BenchmarkDecodeProgram(b *testing.B) {
+	var wire [][]byte
+	for s := int64(1); s <= 64; s++ {
+		wire = append(wire, encodeSource(b, randprog.Generate(s, randprog.ForSeed(s))))
+	}
+	for _, p := range benchprog.All() {
+		wire = append(wire, encodeSource(b, p.Source))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, data := range wire {
+			if _, err := ir.DecodeProgram(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// encodeSource compiles src and returns its wire form.
+func encodeSource(tb testing.TB, src string) []byte {
+	tb.Helper()
+	prog, err := compile.Source(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := ir.EncodeProgram(prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
