@@ -81,6 +81,16 @@ type Node interface {
 	Pos() source.Pos
 }
 
+// ID numbers a node within its program. The parser gives every
+// expression, LValue, VarDecl, Param and FuncDecl its own ID in
+// 1..Program.MaxID, so the type checker can record what it resolves
+// in tables indexed by ID rather than in maps keyed by node. A node
+// built by hand has ID 0.
+type ID int
+
+// NodeID returns the node's ID.
+func (id ID) NodeID() ID { return id }
+
 // ---------------------------------------------------------------------
 // Program structure
 
@@ -88,10 +98,13 @@ type Node interface {
 type Program struct {
 	Globals []*VarDecl
 	Funcs   []*FuncDecl
+	// MaxID is the largest node ID in the program.
+	MaxID ID
 }
 
 // FuncDecl is a function definition.
 type FuncDecl struct {
+	ID
 	Name    string
 	Result  BaseType // IntType, FloatType, or VoidType
 	Params  []*Param
@@ -104,6 +117,7 @@ func (d *FuncDecl) Pos() source.Pos { return d.NamePos }
 
 // Param is a single function parameter. Parameters are always scalars.
 type Param struct {
+	ID
 	Name    string
 	Type    BaseType
 	NamePos source.Pos
@@ -115,6 +129,7 @@ func (p *Param) Pos() source.Pos { return p.NamePos }
 // VarDecl declares a global or local variable, optionally with a scalar
 // initializer expression.
 type VarDecl struct {
+	ID
 	Name    string
 	Type    Type
 	Init    Expr // nil when absent; nil for arrays
@@ -152,6 +167,7 @@ type AssignStmt struct {
 
 // LValue is an assignable location: a named variable, optionally indexed.
 type LValue struct {
+	ID
 	Name    string
 	Index   Expr // nil for scalars
 	NamePos source.Pos
@@ -245,29 +261,34 @@ func (s *ContinueStmt) Pos() source.Pos { return s.Continue }
 // Expr is implemented by all expression nodes.
 type Expr interface {
 	Node
+	NodeID() ID
 	exprNode()
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
+	ID
 	Value  int64
 	LitPos source.Pos
 }
 
 // FloatLit is a floating-point literal.
 type FloatLit struct {
+	ID
 	Value  float64
 	LitPos source.Pos
 }
 
 // Ident references a scalar variable by name.
 type Ident struct {
+	ID
 	Name    string
 	NamePos source.Pos
 }
 
 // IndexExpr reads an array element: Name[Index].
 type IndexExpr struct {
+	ID
 	Name    string
 	Index   Expr
 	NamePos source.Pos
@@ -275,6 +296,7 @@ type IndexExpr struct {
 
 // CallExpr calls a function by name.
 type CallExpr struct {
+	ID
 	Name    string
 	Args    []Expr
 	NamePos source.Pos
@@ -282,12 +304,14 @@ type CallExpr struct {
 
 // BinaryExpr applies a binary operator.
 type BinaryExpr struct {
+	ID
 	Op   token.Kind
 	X, Y Expr
 }
 
 // UnaryExpr applies unary minus or logical not.
 type UnaryExpr struct {
+	ID
 	Op    token.Kind
 	X     Expr
 	OpPos source.Pos
@@ -295,6 +319,7 @@ type UnaryExpr struct {
 
 // CastExpr converts between int and float, written int(x) or float(x).
 type CastExpr struct {
+	ID
 	To     BaseType
 	X      Expr
 	CastPo source.Pos

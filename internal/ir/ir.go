@@ -279,6 +279,19 @@ func (f *Func) NewReg(c Class, name string) Reg {
 	return r
 }
 
+// NewRegs allocates len(classes) fresh virtual registers at once, as
+// that many NewReg calls would: the i-th gets classes[i] and the debug
+// name names[i], or "" past the end of names. The register tables are
+// reallocated exactly once.
+func (f *Func) NewRegs(classes []Class, names []string) {
+	n := len(f.regClass) + len(classes)
+	rc := make([]Class, n)
+	copy(rc[copy(rc, f.regClass):], classes)
+	rn := make([]string, n)
+	copy(rn[copy(rn, f.regName):], names[:min(len(names), len(classes))])
+	f.regClass, f.regName = rc, rn
+}
+
 // NewBlock appends a fresh empty block and returns it.
 func (f *Func) NewBlock() *Block {
 	b := &Block{ID: len(f.Blocks)}

@@ -10,13 +10,22 @@ import (
 // exprValue lowers e and returns a register of class want, inserting a
 // conversion when the expression's own class differs.
 func (b *builder) exprValue(e ast.Expr, want ir.Class) ir.Reg {
-	outer := b.exprTemps == nil
+	outer := b.exprEpoch == 0
 	if outer {
-		b.exprTemps = make(map[ir.Reg]bool)
-		defer func() { b.exprTemps = nil }()
+		b.beginExpr()
 	}
-	r := b.lower(e)
-	return b.convert(r, want, e)
+	r := b.convert(b.lower(e), want, e)
+	if outer {
+		b.exprEpoch = 0
+	}
+	return r
+}
+
+// beginExpr starts a top-level expression: temporaries created until
+// exprEpoch is reset to 0 may be retargeted.
+func (b *builder) beginExpr() {
+	b.lastEpoch++
+	b.exprEpoch = b.lastEpoch
 }
 
 // exprInto lowers e into the existing register dst (of class want).
@@ -25,27 +34,29 @@ func (b *builder) exprValue(e ast.Expr, want ir.Class) ir.Reg {
 // remain are exactly the copies the framework's coalescing phase exists
 // to remove.
 func (b *builder) exprInto(dst ir.Reg, e ast.Expr, want ir.Class) {
-	outer := b.exprTemps == nil
+	outer := b.exprEpoch == 0
 	if outer {
-		b.exprTemps = make(map[ir.Reg]bool)
-		defer func() { b.exprTemps = nil }()
+		b.beginExpr()
 	}
 	r := b.lower(e)
 	r = b.convert(r, want, e)
-	if b.retarget(r, dst) {
-		return
+	if !b.retarget(r, dst) {
+		b.emit(ir.Instr{Op: ir.OpMove, Dst: dst, Args: b.args(r), Pos: e.Pos()})
 	}
-	b.emit(ir.Instr{Op: ir.OpMove, Dst: dst, Args: []ir.Reg{r}, Pos: e.Pos()})
+	if outer {
+		b.exprEpoch = 0
+	}
 }
 
 // retarget rewrites the defining instruction of r to write dst instead,
 // when r is a temporary defined by the last instruction of the current
 // block. It reports whether it succeeded.
 func (b *builder) retarget(r, dst ir.Reg) bool {
-	if !b.exprTemps[r] || len(b.cur.Instrs) == 0 {
+	i := b.last[b.cur]
+	if b.tempEpoch[r] != b.exprEpoch || i < 0 {
 		return false
 	}
-	last := &b.cur.Instrs[len(b.cur.Instrs)-1]
+	last := &b.code[i]
 	if last.Dst != r {
 		return false
 	}
@@ -55,18 +66,18 @@ func (b *builder) retarget(r, dst ir.Reg) bool {
 
 // exprStmtValue lowers a top-level expression statement (a call).
 func (b *builder) exprStmtValue(e ast.Expr) {
-	b.exprTemps = make(map[ir.Reg]bool)
-	defer func() { b.exprTemps = nil }()
+	b.beginExpr()
 	if call, ok := e.(*ast.CallExpr); ok {
 		b.lowerCall(call, false)
-		return
+	} else {
+		b.lower(e)
 	}
-	b.lower(e)
+	b.exprEpoch = 0
 }
 
 // convert inserts an int<->float conversion when needed.
 func (b *builder) convert(r ir.Reg, want ir.Class, e ast.Expr) ir.Reg {
-	have := b.fn.RegClass(r)
+	have := b.regClass[r]
 	if have == want {
 		return r
 	}
@@ -75,7 +86,7 @@ func (b *builder) convert(r ir.Reg, want ir.Class, e ast.Expr) ir.Reg {
 	if want == ir.ClassInt {
 		op = ir.OpF2I
 	}
-	b.emit(ir.Instr{Op: op, Dst: t, Args: []ir.Reg{r}, Pos: e.Pos()})
+	b.emit(ir.Instr{Op: op, Dst: t, Args: b.args(r), Pos: e.Pos()})
 	return t
 }
 
@@ -90,20 +101,20 @@ func (b *builder) lower(e ast.Expr) ir.Reg {
 		b.emit(ir.Instr{Op: ir.OpConstFloat, Dst: t, FloatVal: e.Value, Pos: e.Pos()})
 		return t
 	case *ast.Ident:
-		obj := b.info.Uses[e]
+		obj := b.info.Objects[e.ID]
 		if obj.Kind == types.GlobalVar {
-			sym := b.symbols[obj]
+			sym := b.symbols[declID(obj)]
 			t := b.temp(sym.Class)
 			b.emit(ir.Instr{Op: ir.OpLoad, Dst: t, Sym: sym, Pos: e.Pos()})
 			return t
 		}
-		return b.vars[obj]
+		return b.vars[declID(obj)]
 	case *ast.IndexExpr:
-		obj := b.info.Uses[e]
-		sym := b.symbols[obj]
+		obj := b.info.Objects[e.ID]
+		sym := b.symbols[declID(obj)]
 		idx := b.lowerTo(e.Index, ir.ClassInt)
 		t := b.temp(sym.Class)
-		b.emit(ir.Instr{Op: ir.OpLoad, Dst: t, Sym: sym, Args: []ir.Reg{idx}, Pos: e.Pos()})
+		b.emit(ir.Instr{Op: ir.OpLoad, Dst: t, Sym: sym, Args: b.args(idx), Pos: e.Pos()})
 		return t
 	case *ast.CallExpr:
 		return b.lowerCall(e, true)
@@ -127,16 +138,21 @@ func (b *builder) lowerTo(e ast.Expr, want ir.Class) ir.Reg {
 }
 
 func (b *builder) lowerCall(e *ast.CallExpr, wantResult bool) ir.Reg {
-	obj := b.info.Uses[e]
+	obj := b.info.Objects[e.ID]
 	sig := obj.Sig
-	args := make([]ir.Reg, 0, len(e.Args))
+	// Nested calls push their arguments above these and pop them
+	// before returning, so this call's arguments stay contiguous.
+	mark := len(b.callArgs)
 	for i, a := range e.Args {
 		want := ir.ClassInt
 		if i < len(sig.Params) {
 			want = classOf(sig.Params[i])
 		}
-		args = append(args, b.lowerTo(a, want))
+		r := b.lowerTo(a, want)
+		b.callArgs = append(b.callArgs, r)
 	}
+	args := b.args(b.callArgs[mark:]...)
+	b.callArgs = b.callArgs[:mark]
 	dst := ir.NoReg
 	if wantResult && sig.Result != ast.VoidType {
 		dst = b.temp(classOf(sig.Result))
@@ -155,19 +171,19 @@ func (b *builder) lowerUnary(e *ast.UnaryExpr) ir.Reg {
 	switch e.Op {
 	case token.MINUS:
 		x := b.lower(e.X)
-		c := b.fn.RegClass(x)
+		c := b.regClass[x]
 		t := b.temp(c)
 		op := ir.OpNeg
 		if c == ir.ClassFloat {
 			op = ir.OpFNeg
 		}
-		b.emit(ir.Instr{Op: op, Dst: t, Args: []ir.Reg{x}, Pos: e.Pos()})
+		b.emit(ir.Instr{Op: op, Dst: t, Args: b.args(x), Pos: e.Pos()})
 		return t
 	case token.NOT:
 		x := b.lowerTo(e.X, ir.ClassInt)
 		z := b.zero(ir.ClassInt)
 		t := b.temp(ir.ClassInt)
-		b.emit(ir.Instr{Op: ir.OpICmp, Cond: ir.CondEQ, Dst: t, Args: []ir.Reg{x, z}, Pos: e.Pos()})
+		b.emit(ir.Instr{Op: ir.OpICmp, Cond: ir.CondEQ, Dst: t, Args: b.args(x, z), Pos: e.Pos()})
 		return t
 	}
 	return b.lower(e.X)
@@ -178,8 +194,8 @@ func (b *builder) lowerBinary(e *ast.BinaryExpr) ir.Reg {
 	case token.AND, token.OR:
 		return b.lowerShortCircuit(e)
 	}
-	xt := b.info.Types[e.X]
-	yt := b.info.Types[e.Y]
+	xt := b.info.Types[e.X.NodeID()]
+	yt := b.info.Types[e.Y.NodeID()]
 	isFloat := xt == ast.FloatType || yt == ast.FloatType
 	operand := ir.ClassInt
 	if isFloat {
@@ -194,7 +210,7 @@ func (b *builder) lowerBinary(e *ast.BinaryExpr) ir.Reg {
 		if isFloat {
 			op = ir.OpFCmp
 		}
-		b.emit(ir.Instr{Op: op, Cond: cond, Dst: t, Args: []ir.Reg{x, y}, Pos: e.Pos()})
+		b.emit(ir.Instr{Op: op, Cond: cond, Dst: t, Args: b.args(x, y), Pos: e.Pos()})
 		return t
 	}
 
@@ -226,7 +242,7 @@ func (b *builder) lowerBinary(e *ast.BinaryExpr) ir.Reg {
 			op = ir.OpFDiv
 		}
 	}
-	b.emit(ir.Instr{Op: op, Dst: t, Args: []ir.Reg{x, y}, Pos: e.Pos()})
+	b.emit(ir.Instr{Op: op, Dst: t, Args: b.args(x, y), Pos: e.Pos()})
 	return t
 }
 
@@ -254,21 +270,17 @@ func cmpCond(k token.Kind) (ir.Cond, bool) {
 func (b *builder) lowerShortCircuit(e *ast.BinaryExpr) ir.Reg {
 	// The result register must not be an expression temp of the current
 	// block for retargeting purposes: it is defined in two blocks.
-	result := b.fn.NewReg(ir.ClassInt, "")
+	result := b.newReg(ir.ClassInt, "")
 
 	x := b.lowerTo(e.X, ir.ClassInt)
-	firstEnd := b.cur
-	brIdx := len(firstEnd.Instrs)
-	b.emit(ir.Instr{Op: ir.OpBr, Dst: ir.NoReg, Args: []ir.Reg{x}, Pos: e.Pos()})
+	br := b.emit(ir.Instr{Op: ir.OpBr, Dst: ir.NoReg, Args: b.args(x), Pos: e.Pos()})
 
 	// rhs block: result = (y != 0)
 	rhs := b.startBlock()
 	y := b.lowerTo(e.Y, ir.ClassInt)
 	z := b.zero(ir.ClassInt)
-	b.emit(ir.Instr{Op: ir.OpICmp, Cond: ir.CondNE, Dst: result, Args: []ir.Reg{y, z}, Pos: e.Pos()})
-	rhsEnd := b.cur
-	rhsJmpIdx := len(rhsEnd.Instrs)
-	b.emit(ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg})
+	b.emit(ir.Instr{Op: ir.OpICmp, Cond: ir.CondNE, Dst: result, Args: b.args(y, z), Pos: e.Pos()})
+	rhsJmp := b.emit(ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg})
 
 	// short block: result = 0 (for &&) or 1 (for ||)
 	short := b.startBlock()
@@ -277,82 +289,17 @@ func (b *builder) lowerShortCircuit(e *ast.BinaryExpr) ir.Reg {
 		shortVal = 1
 	}
 	b.emit(ir.Instr{Op: ir.OpConstInt, Dst: result, IntVal: shortVal, Pos: e.Pos()})
-	shortJmpIdx := len(b.cur.Instrs)
-	b.emit(ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg})
-	shortEnd := b.cur
+	shortJmp := b.emit(ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg})
 
 	join := b.startBlock()
 	if e.Op == token.AND {
-		firstEnd.Instrs[brIdx].Then = rhs.ID
-		firstEnd.Instrs[brIdx].Else = short.ID
+		b.code[br].Then = rhs
+		b.code[br].Else = short
 	} else {
-		firstEnd.Instrs[brIdx].Then = short.ID
-		firstEnd.Instrs[brIdx].Else = rhs.ID
+		b.code[br].Then = short
+		b.code[br].Else = rhs
 	}
-	rhsEnd.Instrs[rhsJmpIdx].Then = join.ID
-	shortEnd.Instrs[shortJmpIdx].Then = join.ID
+	b.code[rhsJmp].Then = join
+	b.code[shortJmp].Then = join
 	return result
-}
-
-// pruneUnreachable removes blocks not reachable from the entry block and
-// renumbers the rest, fixing branch targets. Lowering of break/return
-// inside nested control flow can leave empty unreachable blocks behind.
-func (b *builder) pruneUnreachable() {
-	f := b.fn
-	// Unterminated unreachable blocks would fail validation; terminate
-	// them before reachability so Succs works, then drop them.
-	for _, blk := range f.Blocks {
-		if blk.Terminator() == nil {
-			blk.Instrs = append(blk.Instrs, ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, Args: []ir.Reg{}})
-			if f.HasResult {
-				// Cannot synthesize a value here without a register;
-				// mark unreachable returns as returning a fresh zero.
-				blk.Instrs = blk.Instrs[:len(blk.Instrs)-1]
-				z := f.NewReg(f.ResultClass, "")
-				op := ir.OpConstInt
-				if f.ResultClass == ir.ClassFloat {
-					op = ir.OpConstFloat
-				}
-				blk.Instrs = append(blk.Instrs,
-					ir.Instr{Op: op, Dst: z, Args: []ir.Reg{}},
-					ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, Args: []ir.Reg{z}},
-				)
-			}
-		}
-	}
-	reach := make([]bool, len(f.Blocks))
-	stack := []int{0}
-	reach[0] = true
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range f.Blocks[id].Succs() {
-			if !reach[s] {
-				reach[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	remap := make([]int, len(f.Blocks))
-	var kept []*ir.Block
-	for id, blk := range f.Blocks {
-		if reach[id] {
-			remap[id] = len(kept)
-			blk.ID = len(kept)
-			kept = append(kept, blk)
-		} else {
-			remap[id] = -1
-		}
-	}
-	for _, blk := range kept {
-		t := &blk.Instrs[len(blk.Instrs)-1]
-		switch t.Op {
-		case ir.OpJmp:
-			t.Then = remap[t.Then]
-		case ir.OpBr:
-			t.Then = remap[t.Then]
-			t.Else = remap[t.Else]
-		}
-	}
-	f.Blocks = kept
 }

@@ -2,6 +2,8 @@
 package lexer
 
 import (
+	"strings"
+
 	"repro/internal/source"
 	"repro/internal/token"
 )
@@ -84,12 +86,20 @@ func (l *Lexer) skipSpace() {
 	for l.off < len(l.src) {
 		c := l.peek()
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
+		case c == '\n':
+			l.off++
+			l.line++
+			l.col = 1
+		case c == ' ' || c == '\t' || c == '\r':
+			l.off++
+			l.col++
 		case c == '/' && l.peek2() == '/':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
+			n := strings.IndexByte(l.src[l.off:], '\n')
+			if n < 0 {
+				n = len(l.src) - l.off
 			}
+			l.off += n
+			l.col += n
 		case c == '/' && l.peek2() == '*':
 			start := l.pos()
 			l.advance()
@@ -124,21 +134,23 @@ func (l *Lexer) Next() Token {
 	switch {
 	case isLetter(c):
 		start := l.off
-		for l.off < len(l.src) && (isLetter(l.peek()) || isDigit(l.peek())) {
-			l.advance()
+		i := start + 1
+		for i < len(l.src) && (isLetter(l.src[i]) || isDigit(l.src[i])) {
+			i++
 		}
-		lit := l.src[start:l.off]
+		l.skip(i)
+		lit := l.src[start:i]
 		return Token{Kind: token.Lookup(lit), Lit: lit, Pos: pos}
 	case isDigit(c):
 		return l.number(pos)
 	}
 	l.advance()
-	two := func(next byte, yes, no token.Kind) Token {
+	two := func(next byte, yes token.Kind, yesLit string, no token.Kind, noLit string) Token {
 		if l.peek() == next {
 			l.advance()
-			return Token{Kind: yes, Lit: yes.String(), Pos: pos}
+			return Token{Kind: yes, Lit: yesLit, Pos: pos}
 		}
-		return Token{Kind: no, Lit: no.String(), Pos: pos}
+		return Token{Kind: no, Lit: noLit, Pos: pos}
 	}
 	switch c {
 	case '+':
@@ -152,13 +164,13 @@ func (l *Lexer) Next() Token {
 	case '%':
 		return Token{Kind: token.PERCENT, Lit: "%", Pos: pos}
 	case '=':
-		return two('=', token.EQ, token.ASSIGN)
+		return two('=', token.EQ, "==", token.ASSIGN, "=")
 	case '!':
-		return two('=', token.NE, token.NOT)
+		return two('=', token.NE, "!=", token.NOT, "!")
 	case '<':
-		return two('=', token.LE, token.LT)
+		return two('=', token.LE, "<=", token.LT, "<")
 	case '>':
-		return two('=', token.GE, token.GT)
+		return two('=', token.GE, ">=", token.GT, ">")
 	case '&':
 		if l.peek() == '&' {
 			l.advance()
@@ -198,39 +210,43 @@ func (l *Lexer) Next() Token {
 // it contains a '.' or an exponent part.
 func (l *Lexer) number(pos source.Pos) Token {
 	start := l.off
+	i := l.digits(start)
 	isFloat := false
-	for l.off < len(l.src) && isDigit(l.peek()) {
-		l.advance()
-	}
-	if l.peek() == '.' && isDigit(l.peek2()) {
+	if i+1 < len(l.src) && l.src[i] == '.' && isDigit(l.src[i+1]) {
 		isFloat = true
-		l.advance()
-		for l.off < len(l.src) && isDigit(l.peek()) {
-			l.advance()
-		}
+		i = l.digits(i + 1)
 	}
-	if c := l.peek(); c == 'e' || c == 'E' {
+	if i < len(l.src) && (l.src[i] == 'e' || l.src[i] == 'E') {
 		// Exponent: e[+-]?digits. Only consume when well-formed.
-		save := l.off
-		saveLine, saveCol := l.line, l.col
-		l.advance()
-		if l.peek() == '+' || l.peek() == '-' {
-			l.advance()
+		j := i + 1
+		if j < len(l.src) && (l.src[j] == '+' || l.src[j] == '-') {
+			j++
 		}
-		if isDigit(l.peek()) {
+		if j < len(l.src) && isDigit(l.src[j]) {
 			isFloat = true
-			for l.off < len(l.src) && isDigit(l.peek()) {
-				l.advance()
-			}
-		} else {
-			l.off, l.line, l.col = save, saveLine, saveCol
+			i = l.digits(j)
 		}
 	}
-	lit := l.src[start:l.off]
+	l.skip(i)
+	lit := l.src[start:i]
 	if isFloat {
 		return Token{Kind: token.FLOATLIT, Lit: lit, Pos: pos}
 	}
 	return Token{Kind: token.INTLIT, Lit: lit, Pos: pos}
+}
+
+// digits returns the offset of the first non-digit at or after i.
+func (l *Lexer) digits(i int) int {
+	for i < len(l.src) && isDigit(l.src[i]) {
+		i++
+	}
+	return i
+}
+
+// skip advances to offset i over bytes that hold no newline.
+func (l *Lexer) skip(i int) {
+	l.col += i - l.off
+	l.off = i
 }
 
 // All lexes the entire input and returns the tokens including the final

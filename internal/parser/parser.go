@@ -24,21 +24,54 @@ func ParseFile(filename, src string) (*ast.Program, error) {
 	p := &parser{lex: lexer.New(src, errs), errs: errs}
 	p.next()
 	prog := p.parseProgram()
+	prog.MaxID = p.lastID
 	errs.Sort()
 	return prog, errs.Err()
 }
 
 type parser struct {
-	lex   *lexer.Lexer
-	errs  *source.ErrorList
-	tok   lexer.Token  // current token
-	ahead *lexer.Token // one-token lookahead buffer
+	lex      *lexer.Lexer
+	errs     *source.ErrorList
+	tok      lexer.Token // current token
+	ahead    lexer.Token // one-token lookahead buffer, valid when hasAhead
+	hasAhead bool
+	lastID   ast.ID // the last node ID handed out
+
+	// Stacks of the call arguments and block statements being parsed;
+	// each list is copied out at its exact length once complete.
+	exprs []ast.Expr
+	stmts []ast.Stmt
+
+	// The most frequent nodes come from chunks.
+	binaries chunks[ast.BinaryExpr]
+	unaries  chunks[ast.UnaryExpr]
+	ints     chunks[ast.IntLit]
+	floats   chunks[ast.FloatLit]
+	idents   chunks[ast.Ident]
+	indexes  chunks[ast.IndexExpr]
+	calls    chunks[ast.CallExpr]
+	casts    chunks[ast.CastExpr]
+	lvalues  chunks[ast.LValue]
+	assigns  chunks[ast.AssignStmt]
+}
+
+// chunks hands out nodes of one type from arrays of growing length, so
+// a large program costs one allocation per array rather than one per
+// node. The nodes of an AST share its lifetime.
+type chunks[T any] struct{ buf []T }
+
+func (c *chunks[T]) new() *T {
+	if len(c.buf) == cap(c.buf) {
+		c.buf = make([]T, 0, min(max(2*cap(c.buf), 8), 512))
+	}
+	c.buf = c.buf[:len(c.buf)+1]
+	return &c.buf[len(c.buf)-1]
 }
 
 func (p *parser) next() {
-	if p.ahead != nil {
-		p.tok = *p.ahead
-		p.ahead = nil
+	if p.hasAhead {
+		p.tok = p.ahead
+		p.hasAhead = false
 		return
 	}
 	p.tok = p.lex.Next()
@@ -46,11 +79,17 @@ func (p *parser) next() {
 
 // peek returns the token after the current one without consuming it.
 func (p *parser) peek() lexer.Token {
-	if p.ahead == nil {
-		t := p.lex.Next()
-		p.ahead = &t
+	if !p.hasAhead {
+		p.ahead = p.lex.Next()
+		p.hasAhead = true
 	}
-	return *p.ahead
+	return p.ahead
+}
+
+// id hands out the next node ID.
+func (p *parser) id() ast.ID {
+	p.lastID++
+	return p.lastID
 }
 
 func (p *parser) errorf(pos source.Pos, format string, args ...interface{}) {
@@ -143,7 +182,7 @@ func (p *parser) baseType() ast.BaseType {
 // base type and name have been consumed: optional array length, optional
 // initializer, and the terminating semicolon.
 func (p *parser) parseVarRest(base ast.BaseType, name lexer.Token) *ast.VarDecl {
-	d := &ast.VarDecl{Name: name.Lit, Type: ast.Type{Base: base}, NamePos: name.Pos}
+	d := &ast.VarDecl{ID: p.id(), Name: name.Lit, Type: ast.Type{Base: base}, NamePos: name.Pos}
 	if p.got(token.LBRACK) {
 		lenTok := p.expect(token.INTLIT)
 		n, err := strconv.Atoi(lenTok.Lit)
@@ -165,7 +204,7 @@ func (p *parser) parseVarRest(base ast.BaseType, name lexer.Token) *ast.VarDecl 
 }
 
 func (p *parser) parseFuncRest(result ast.BaseType, name lexer.Token) *ast.FuncDecl {
-	f := &ast.FuncDecl{Name: name.Lit, Result: result, NamePos: name.Pos}
+	f := &ast.FuncDecl{ID: p.id(), Name: name.Lit, Result: result, NamePos: name.Pos}
 	p.expect(token.LPAREN)
 	if p.tok.Kind != token.RPAREN {
 		for {
@@ -175,7 +214,7 @@ func (p *parser) parseFuncRest(result ast.BaseType, name lexer.Token) *ast.FuncD
 				base = ast.IntType
 			}
 			id := p.expect(token.IDENT)
-			f.Params = append(f.Params, &ast.Param{Name: id.Lit, Type: base, NamePos: id.Pos})
+			f.Params = append(f.Params, &ast.Param{ID: p.id(), Name: id.Lit, Type: base, NamePos: id.Pos})
 			if !p.got(token.COMMA) {
 				break
 			}
@@ -192,14 +231,17 @@ func (p *parser) parseFuncRest(result ast.BaseType, name lexer.Token) *ast.FuncD
 func (p *parser) parseBlock() *ast.BlockStmt {
 	b := &ast.BlockStmt{Brace: p.tok.Pos}
 	p.expect(token.LBRACE)
+	mark := len(p.stmts)
 	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
 		before := p.tok
-		b.List = append(b.List, p.parseStmt())
+		p.stmts = append(p.stmts, p.parseStmt())
 		if p.tok == before {
 			// No progress — defensive against error loops.
 			p.next()
 		}
 	}
+	b.List = append([]ast.Stmt(nil), p.stmts[mark:]...)
+	p.stmts = p.stmts[:mark]
 	p.expect(token.RBRACE)
 	return b
 }
@@ -311,13 +353,16 @@ func (p *parser) parseFor() ast.Stmt {
 
 func (p *parser) parseAssign() *ast.AssignStmt {
 	name := p.expect(token.IDENT)
-	lv := &ast.LValue{Name: name.Lit, NamePos: name.Pos}
+	lv := p.lvalues.new()
+	*lv = ast.LValue{ID: p.id(), Name: name.Lit, NamePos: name.Pos}
 	if p.got(token.LBRACK) {
 		lv.Index = p.parseExpr()
 		p.expect(token.RBRACK)
 	}
 	p.expect(token.ASSIGN)
-	return &ast.AssignStmt{Target: lv, Value: p.parseExpr()}
+	s := p.assigns.new()
+	*s = ast.AssignStmt{Target: lv, Value: p.parseExpr()}
+	return s
 }
 
 // ---------------------------------------------------------------------
@@ -335,20 +380,21 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 		op := p.tok.Kind
 		p.next()
 		y := p.parseBinary(prec + 1)
-		x = &ast.BinaryExpr{Op: op, X: x, Y: y}
+		e := p.binaries.new()
+		*e = ast.BinaryExpr{ID: p.id(), Op: op, X: x, Y: y}
+		x = e
 	}
 }
 
 func (p *parser) parseUnary() ast.Expr {
-	switch p.tok.Kind {
-	case token.MINUS:
+	switch op := p.tok.Kind; op {
+	case token.MINUS, token.NOT:
 		pos := p.tok.Pos
 		p.next()
-		return &ast.UnaryExpr{Op: token.MINUS, X: p.parseUnary(), OpPos: pos}
-	case token.NOT:
-		pos := p.tok.Pos
-		p.next()
-		return &ast.UnaryExpr{Op: token.NOT, X: p.parseUnary(), OpPos: pos}
+		x := p.parseUnary()
+		e := p.unaries.new()
+		*e = ast.UnaryExpr{ID: p.id(), Op: op, X: x, OpPos: pos}
+		return e
 	}
 	return p.parsePrimary()
 }
@@ -362,7 +408,9 @@ func (p *parser) parsePrimary() ast.Expr {
 		if err != nil {
 			p.errorf(t.Pos, "integer literal %s out of range", t.Lit)
 		}
-		return &ast.IntLit{Value: v, LitPos: t.Pos}
+		e := p.ints.new()
+		*e = ast.IntLit{ID: p.id(), Value: v, LitPos: t.Pos}
+		return e
 	case token.FLOATLIT:
 		t := p.tok
 		p.next()
@@ -370,7 +418,9 @@ func (p *parser) parsePrimary() ast.Expr {
 		if err != nil {
 			p.errorf(t.Pos, "invalid float literal %s", t.Lit)
 		}
-		return &ast.FloatLit{Value: v, LitPos: t.Pos}
+		e := p.floats.new()
+		*e = ast.FloatLit{ID: p.id(), Value: v, LitPos: t.Pos}
+		return e
 	case token.INT, token.FLOAT:
 		// Cast: int(expr) or float(expr).
 		pos := p.tok.Pos
@@ -382,31 +432,41 @@ func (p *parser) parsePrimary() ast.Expr {
 		p.expect(token.LPAREN)
 		x := p.parseExpr()
 		p.expect(token.RPAREN)
-		return &ast.CastExpr{To: to, X: x, CastPo: pos}
+		e := p.casts.new()
+		*e = ast.CastExpr{ID: p.id(), To: to, X: x, CastPo: pos}
+		return e
 	case token.IDENT:
 		t := p.tok
 		p.next()
 		switch p.tok.Kind {
 		case token.LPAREN:
 			p.next()
-			call := &ast.CallExpr{Name: t.Lit, NamePos: t.Pos}
+			call := p.calls.new()
+			*call = ast.CallExpr{ID: p.id(), Name: t.Lit, NamePos: t.Pos}
+			mark := len(p.exprs)
 			if p.tok.Kind != token.RPAREN {
 				for {
-					call.Args = append(call.Args, p.parseExpr())
+					p.exprs = append(p.exprs, p.parseExpr())
 					if !p.got(token.COMMA) {
 						break
 					}
 				}
 			}
+			call.Args = append([]ast.Expr(nil), p.exprs[mark:]...)
+			p.exprs = p.exprs[:mark]
 			p.expect(token.RPAREN)
 			return call
 		case token.LBRACK:
 			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBRACK)
-			return &ast.IndexExpr{Name: t.Lit, Index: idx, NamePos: t.Pos}
+			e := p.indexes.new()
+			*e = ast.IndexExpr{ID: p.id(), Name: t.Lit, Index: idx, NamePos: t.Pos}
+			return e
 		}
-		return &ast.Ident{Name: t.Lit, NamePos: t.Pos}
+		e := p.idents.new()
+		*e = ast.Ident{ID: p.id(), Name: t.Lit, NamePos: t.Pos}
+		return e
 	case token.LPAREN:
 		p.next()
 		x := p.parseExpr()
@@ -416,5 +476,5 @@ func (p *parser) parsePrimary() ast.Expr {
 	p.errorf(p.tok.Pos, "expected expression, found %s", p.tok)
 	t := p.tok
 	p.next()
-	return &ast.IntLit{Value: 0, LitPos: t.Pos}
+	return &ast.IntLit{ID: p.id(), Value: 0, LitPos: t.Pos}
 }

@@ -205,11 +205,14 @@ func TestBadRequests(t *testing.T) {
 }
 
 // malformedIR holds wire-IR programs that ir.DecodeProgram once
-// accepted with an out-of-range operand, or panicked on while
-// formatting its own validation error. The first is the body that
-// killed a stock daemon: a nop whose destination v34 lies past the 25
-// registers of main.
+// dereferenced as nil (a null list element), accepted with an
+// out-of-range operand, or panicked on while formatting its own
+// validation error. The null elements and the nop whose destination
+// v34 lies past the 25 registers of main each killed a stock daemon.
 var malformedIR = map[string]string{
+	"null function": `{"version":1,"funcs":[null]}`,
+	"null block":    `{"version":1,"funcs":[{"name":"main","reg_classes":[0],"blocks":[null]}]}`,
+	"null global":   `{"version":1,"globals":[null],"funcs":[]}`,
 	"nop operand out of range": `{"version":1,"funcs":[{"name":"main","has_result":true,"reg_classes":[` +
 		strings.Repeat("0,", 24) + `0],"blocks":[{"instrs":[{"op":1,"dst":0,"int_val":1,"sym":-1},` +
 		`{"op":0,"dst":34,"sym":-1},{"op":22,"dst":-1,"args":[0],"sym":-1}]}]}]}`,

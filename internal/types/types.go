@@ -56,32 +56,33 @@ type FuncSig struct {
 	Params []ast.BaseType
 }
 
-// Info carries the results of type checking, consumed by the IR builder.
+// Info carries the results of type checking, consumed by the IR
+// builder. Its tables are indexed by node ID (ast.ID).
 type Info struct {
 	// Types records the type each expression evaluates to, before any
 	// context-driven conversion.
-	Types map[ast.Expr]ast.BaseType
-	// Uses resolves every name-bearing node (Ident, IndexExpr, LValue,
-	// CallExpr) to its object.
-	Uses map[ast.Node]*Object
-	// Objects maps each VarDecl and FuncDecl to the object it creates.
-	Objects map[ast.Node]*Object
+	Types []ast.BaseType
+	// Objects resolves every name-bearing node (Ident, IndexExpr,
+	// LValue, CallExpr) to the object it uses, and every VarDecl,
+	// Param and FuncDecl to the object it declares.
+	Objects []*Object
 	// FuncByName indexes the program's functions.
 	FuncByName map[string]*ast.FuncDecl
 }
 
-// Check type-checks prog and returns the collected Info. The returned
-// error, when non-nil, is a *source.ErrorList with every diagnostic.
+// Check type-checks prog, whose node IDs must come from the parser,
+// and returns the collected Info. The returned error, when non-nil, is
+// a *source.ErrorList with every diagnostic.
 func Check(prog *ast.Program) (*Info, error) {
 	c := &checker{
 		info: &Info{
-			Types:      make(map[ast.Expr]ast.BaseType),
-			Uses:       make(map[ast.Node]*Object),
-			Objects:    make(map[ast.Node]*Object),
-			FuncByName: make(map[string]*ast.FuncDecl),
+			Types:      make([]ast.BaseType, prog.MaxID+1),
+			Objects:    make([]*Object, prog.MaxID+1),
+			FuncByName: make(map[string]*ast.FuncDecl, len(prog.Funcs)),
 		},
 		errs:    &source.ErrorList{},
-		globals: make(map[string]*Object),
+		globals: make(map[string]*Object, len(prog.Globals)+len(prog.Funcs)),
+		locals:  make(map[string]binding),
 	}
 	c.checkProgram(prog)
 	c.errs.Sort()
@@ -93,10 +94,29 @@ type checker struct {
 	errs    *source.ErrorList
 	globals map[string]*Object // globals and functions share a namespace
 
-	// Per-function state.
-	scopes    []map[string]*Object
+	// Per-function state. locals maps each name to its innermost
+	// declaration; shadowed records, in declaration order, what each
+	// declaration hid, and scopes where in it each open scope begins,
+	// so closing a scope restores the bindings it shadowed.
+	locals    map[string]binding
+	shadowed  []shadow
+	scopes    []int
 	result    ast.BaseType
 	loopDepth int
+}
+
+// binding is a name's innermost local declaration and the depth of the
+// scope that declares it.
+type binding struct {
+	obj   *Object
+	depth int
+}
+
+// shadow is the binding a declaration of name replaced, if it had one.
+type shadow struct {
+	name string
+	prev binding
+	had  bool
 }
 
 func (c *checker) errorf(pos source.Pos, format string, args ...interface{}) {
@@ -113,7 +133,7 @@ func (c *checker) checkProgram(prog *ast.Program) {
 		}
 		obj := &Object{Name: g.Name, Kind: GlobalVar, Type: g.Type, Decl: g}
 		c.globals[g.Name] = obj
-		c.info.Objects[g] = obj
+		c.info.Objects[g.ID] = obj
 	}
 	for _, f := range prog.Funcs {
 		if prev, ok := c.globals[f.Name]; ok {
@@ -121,12 +141,15 @@ func (c *checker) checkProgram(prog *ast.Program) {
 			continue
 		}
 		sig := &FuncSig{Result: f.Result}
-		for _, p := range f.Params {
-			sig.Params = append(sig.Params, p.Type)
+		if len(f.Params) > 0 {
+			sig.Params = make([]ast.BaseType, len(f.Params))
+			for i, p := range f.Params {
+				sig.Params[i] = p.Type
+			}
 		}
 		obj := &Object{Name: f.Name, Kind: FuncObj, Sig: sig, Decl: f}
 		c.globals[f.Name] = obj
-		c.info.Objects[f] = obj
+		c.info.Objects[f.ID] = obj
 		c.info.FuncByName[f.Name] = f
 	}
 	// Global initializers must be constant-free of calls and of other
@@ -194,29 +217,40 @@ func (c *checker) checkFunc(f *ast.FuncDecl) {
 		if !c.declare(obj) {
 			c.errorf(p.Pos(), "duplicate parameter %s", p.Name)
 		}
-		c.info.Objects[p] = obj
+		c.info.Objects[p.ID] = obj
 	}
 	c.checkBlock(f.Body, false)
 	c.popScope()
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, make(map[string]*Object)) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) pushScope() { c.scopes = append(c.scopes, len(c.shadowed)) }
+
+func (c *checker) popScope() {
+	start := c.scopes[len(c.scopes)-1]
+	for i := len(c.shadowed) - 1; i >= start; i-- {
+		if s := c.shadowed[i]; s.had {
+			c.locals[s.name] = s.prev
+		} else {
+			delete(c.locals, s.name)
+		}
+	}
+	c.shadowed = c.shadowed[:start]
+	c.scopes = c.scopes[:len(c.scopes)-1]
+}
 
 func (c *checker) declare(obj *Object) bool {
-	top := c.scopes[len(c.scopes)-1]
-	if _, ok := top[obj.Name]; ok {
+	prev, had := c.locals[obj.Name]
+	if had && prev.depth == len(c.scopes) {
 		return false
 	}
-	top[obj.Name] = obj
+	c.shadowed = append(c.shadowed, shadow{name: obj.Name, prev: prev, had: had})
+	c.locals[obj.Name] = binding{obj: obj, depth: len(c.scopes)}
 	return true
 }
 
 func (c *checker) lookup(name string) *Object {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if obj, ok := c.scopes[i][name]; ok {
-			return obj
-		}
+	if b, ok := c.locals[name]; ok {
+		return b.obj
 	}
 	return c.globals[name]
 }
@@ -265,7 +299,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 		if !c.declare(obj) {
 			c.errorf(d.Pos(), "%s redeclared in this block", d.Name)
 		}
-		c.info.Objects[d] = obj
+		c.info.Objects[d.ID] = obj
 	case *ast.AssignStmt:
 		to := c.checkLValue(s.Target)
 		from := c.checkExpr(s.Value)
@@ -345,7 +379,7 @@ func (c *checker) checkLValue(lv *ast.LValue) ast.BaseType {
 		c.errorf(lv.Pos(), "cannot assign to function %s", lv.Name)
 		return ast.Invalid
 	}
-	c.info.Uses[lv] = obj
+	c.info.Objects[lv.ID] = obj
 	if lv.Index != nil {
 		if !obj.Type.IsArray() {
 			c.errorf(lv.Pos(), "%s is not an array", lv.Name)
@@ -367,7 +401,7 @@ func (c *checker) checkLValue(lv *ast.LValue) ast.BaseType {
 
 func (c *checker) checkExpr(e ast.Expr) ast.BaseType {
 	t := c.exprType(e)
-	c.info.Types[e] = t
+	c.info.Types[e.NodeID()] = t
 	return t
 }
 
@@ -391,7 +425,7 @@ func (c *checker) exprType(e ast.Expr) ast.BaseType {
 			c.errorf(e.Pos(), "array %s must be indexed", e.Name)
 			return ast.Invalid
 		}
-		c.info.Uses[e] = obj
+		c.info.Objects[e.ID] = obj
 		return obj.Type.Base
 	case *ast.IndexExpr:
 		obj := c.lookup(e.Name)
@@ -405,7 +439,7 @@ func (c *checker) exprType(e ast.Expr) ast.BaseType {
 			c.checkExpr(e.Index)
 			return ast.Invalid
 		}
-		c.info.Uses[e] = obj
+		c.info.Objects[e.ID] = obj
 		it := c.checkExpr(e.Index)
 		if it != ast.IntType && it != ast.Invalid {
 			c.errorf(e.Index.Pos(), "array index must be int, found %s", it)
@@ -427,7 +461,7 @@ func (c *checker) exprType(e ast.Expr) ast.BaseType {
 			}
 			return ast.Invalid
 		}
-		c.info.Uses[e] = obj
+		c.info.Objects[e.ID] = obj
 		sig := obj.Sig
 		if len(e.Args) != len(sig.Params) {
 			c.errorf(e.Pos(), "%s expects %d arguments, got %d", e.Name, len(sig.Params), len(e.Args))

@@ -159,14 +159,14 @@ func TestInfoRecordsTypes(t *testing.T) {
 	}
 	ret := prog.Funcs[0].Body.List[0].(*ast.ReturnStmt)
 	add := ret.Value.(*ast.BinaryExpr)
-	if info.Types[add] != ast.FloatType {
-		t.Errorf("a + b*2.0 type = %v, want float", info.Types[add])
+	if info.Types[add.ID] != ast.FloatType {
+		t.Errorf("a + b*2.0 type = %v, want float", info.Types[add.ID])
 	}
-	if info.Types[add.X] != ast.IntType {
-		t.Errorf("a type = %v, want int", info.Types[add.X])
+	if info.Types[add.X.NodeID()] != ast.IntType {
+		t.Errorf("a type = %v, want int", info.Types[add.X.NodeID()])
 	}
-	if info.Types[add.Y] != ast.FloatType {
-		t.Errorf("b*2.0 type = %v, want float", info.Types[add.Y])
+	if info.Types[add.Y.NodeID()] != ast.FloatType {
+		t.Errorf("b*2.0 type = %v, want float", info.Types[add.Y.NodeID()])
 	}
 }
 
@@ -186,12 +186,12 @@ int f(int p) {
 		t.Fatal(err)
 	}
 	assign := prog.Funcs[0].Body.List[1].(*ast.AssignStmt)
-	obj := info.Uses[assign.Target]
+	obj := info.Objects[assign.Target.ID]
 	if obj == nil || obj.Kind != GlobalVar || obj.Name != "g" {
 		t.Errorf("target of g=l resolved to %+v, want global g", obj)
 	}
 	if v, ok := assign.Value.(*ast.Ident); ok {
-		if got := info.Uses[v]; got == nil || got.Kind != LocalVar {
+		if got := info.Objects[v.ID]; got == nil || got.Kind != LocalVar {
 			t.Errorf("l resolved to %+v, want local", got)
 		}
 	} else {
