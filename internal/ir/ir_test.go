@@ -225,3 +225,33 @@ func TestSymbolIsArray(t *testing.T) {
 		t.Error("array reported as scalar")
 	}
 }
+
+// TestNewRegsMatchesNewReg: adding registers in bulk gives the same
+// classes and names as adding them one by one, after registers the
+// function already has and with names running out early.
+func TestNewRegsMatchesNewReg(t *testing.T) {
+	classes := []Class{ClassInt, ClassFloat, ClassInt}
+	names := []string{"x", ""}
+	one, bulk := &Func{}, &Func{}
+	one.NewReg(ClassFloat, "p")
+	bulk.NewReg(ClassFloat, "p")
+	for i, c := range classes {
+		name := ""
+		if i < len(names) {
+			name = names[i]
+		}
+		one.NewReg(c, name)
+	}
+	bulk.NewRegs(classes, names)
+	if one.NumRegs() != bulk.NumRegs() {
+		t.Fatalf("NumRegs %d, want %d", bulk.NumRegs(), one.NumRegs())
+	}
+	for r := Reg(0); int(r) < one.NumRegs(); r++ {
+		if bulk.RegClass(r) != one.RegClass(r) || bulk.RegName(r) != one.RegName(r) {
+			t.Errorf("v%d: %s %q, want %s %q", r, bulk.RegClass(r), bulk.RegName(r), one.RegClass(r), one.RegName(r))
+		}
+	}
+	if r := bulk.NewReg(ClassInt, "y"); bulk.RegName(r) != "y" || int(r) != one.NumRegs() {
+		t.Errorf("NewReg after NewRegs gave v%d named %q", r, bulk.RegName(r))
+	}
+}
