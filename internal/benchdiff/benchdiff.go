@@ -3,15 +3,21 @@
 // one regressed. It is the library behind cmd/benchdiff, which CI runs
 // as a smoke gate against the checked-in BENCH_*.json baselines.
 //
-// Measurements come from two sources with different shapes:
+// Measurements come from two sources, both keyed by dot-joined paths:
 //
 //   - The BENCH_*.json files each PR checks in, which are free-form
 //     JSON documents. Flatten walks one and keeps every numeric leaf
-//     under its dot-joined path ("spill_round.round1_plus_us_per_op.
-//     fpppp/twoel.update"); an array of numbers collapses to its mean,
-//     so the two-run convention ([291.5, 303.1]) just works.
-//   - Raw `go test -bench` output, parsed by ParseBenchOutput into
-//     "bench.<name>.<unit>" entries, one per reported metric.
+//     under its path; an array of numbers collapses to its mean, so
+//     the two-run convention ([291.5, 303.1]) just works.
+//   - Raw `go test -bench` output, parsed by ParseBenchOutput into one
+//     entry per reported metric under the benchmark's own path:
+//     benchmark, sub-benchmarks, then the unit as the leaf
+//     ("SpillRound.fpppp_twoel.rebuild.round1+_us/op").
+//
+// A baseline that nests its numbers along those same paths gates a
+// fresh run with no per-benchmark rules: BenchPattern picks the
+// benchmarks to run from the baseline's top-level names, and every
+// parsed metric lands on the baseline path it is compared against.
 //
 // Whether a delta is a regression depends on the metric's direction:
 // wall times regress upward, speedups downward. DirectionOf infers the
@@ -215,6 +221,18 @@ func (r *Report) ExitCode() int {
 	return 0
 }
 
+// RunExitCode is the exit status of a fresh run of BenchPattern(base)
+// against base: ExitCode, except that a baseline-only metric fails too.
+// The baseline picked which benchmarks ran, so a metric it holds that
+// the run did not report can only be a renamed or dropped
+// sub-benchmark or unit, and the gate would otherwise lose it silently.
+func (r *Report) RunExitCode() int {
+	if len(r.BaseOnly) > 0 {
+		return 1
+	}
+	return r.ExitCode()
+}
+
 // WriteText renders the report as an aligned table, regressions marked
 // with "REGRESSION", followed by the one-sided metric lists.
 func (r *Report) WriteText(w io.Writer) error {
@@ -253,8 +271,8 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 	}
 	n := len(r.Regressions())
-	_, err := fmt.Fprintf(w, "%d metrics compared, %d regressions, %d ungated current-only (threshold %.0f%%)\n",
-		len(r.Deltas), n, len(r.CurOnly), 100*r.Threshold)
+	_, err := fmt.Fprintf(w, "%d metrics compared, %d regressions, %d baseline-only, %d ungated current-only (threshold %.0f%%)\n",
+		len(r.Deltas), n, len(r.BaseOnly), len(r.CurOnly), 100*r.Threshold)
 	return err
 }
 

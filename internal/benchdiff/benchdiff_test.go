@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -53,10 +54,17 @@ func TestDirectionOf(t *testing.T) {
 		{"spill_round.round1_plus_us_per_op.fpppp/twoel.update", LowerIsBetter},
 		{"liveness_solver.sparse_ns_op", LowerIsBetter},
 		{"spill_round.speedup_update_vs_seed.fpppp/twoel", HigherIsBetter},
-		{"bench.SpillRound/fpppp_twoel/update.ns/op", LowerIsBetter},
 		{"pareto.overhead.li.linscan", LowerIsBetter},
 		{"pareto.escalated.li.hybrid", LowerIsBetter},
 		{"pr", Neutral},
+		// Benchmark paths, as ParseBenchOutput keys them.
+		{"SpillRound.fpppp_twoel.rebuild.ns/op", LowerIsBetter},
+		{"SpillRound.fpppp_twoel.rebuild.round1+_us/op", LowerIsBetter},
+		{"AllocateStrategy.li.linscan.overhead", LowerIsBetter},
+		{"AllocateStrategy.li.hybrid.escalated", LowerIsBetter},
+		{"BatchAllocate.calldag.dag.sched_speedup_x4", HigherIsBetter},
+		{"BatchAllocate.calldag.dag.ns/op", LowerIsBetter},
+		{"BatchAllocate.calldag.dag.ready_peak", Neutral},
 	}
 	for _, c := range cases {
 		if got := DirectionOf(c.path); got != c.want {
@@ -129,147 +137,122 @@ func TestParseBenchOutput(t *testing.T) {
 	out := `goos: linux
 goarch: amd64
 pkg: repro
-BenchmarkSpillRound/fpppp_twoel/update-8         	    2000	    612803 ns/op	       295.1 round1+_us/op
-BenchmarkSpillRound/fpppp_twoel/update-8         	    2000	    612805 ns/op	       296.9 round1+_us/op
+BenchmarkSpillRound/fpppp_twoel/rebuild-8        	    2000	    612803 ns/op	       295.1 round1+_us/op
+BenchmarkSpillRound/fpppp_twoel/rebuild-8        	    2000	    612805 ns/op	       296.9 round1+_us/op
 BenchmarkSpillRound/tomcatv_main/rebuild-8       	    2000	    901234 ns/op	       470.0 round1+_us/op
-BenchmarkAllocateProgram/fpppp-8                 	     100	  11939553 ns/op	 4567 B/op	      12 allocs/op
+BenchmarkAllocateProgram/prep-cache-8            	     100	  11939553 ns/op	 4567 B/op	      12 allocs/op
+BenchmarkAllocateStrategy/li/hybrid-8            	     100	    454784 ns/op	         1.000 escalated	     26468 overhead
+BenchmarkBatchAllocate/calldag/dag               	     100	   3860876 ns/op	        20.00 ready_peak	         3.249 sched_speedup_x4
 PASS
 `
 	got, err := ParseBenchOutput(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := got["bench.SpillRound/fpppp_twoel/update.round1+_us/op"]; v != 296 {
-		t.Fatalf("repeat runs must average: %g, want 296", v)
-	}
-	if v := got["bench.SpillRound/tomcatv_main/rebuild.ns/op"]; v != 901234 {
-		t.Fatalf("ns/op = %g", v)
-	}
-	if v := got["bench.AllocateProgram/fpppp.allocs/op"]; v != 12 {
-		t.Fatalf("allocs/op = %g", v)
-	}
-}
-
-func TestCanonicalizeSpillRound(t *testing.T) {
-	in := map[string]float64{
-		"bench.SpillRound/fpppp_twoel/update.round1+_us/op": 295.1,
-		"bench.SpillRound/fpppp_twoel/update.ns/op":         612803,
-		"bench.AllocateProgram/fpppp.ns/op":                 11939553,
-	}
-	out := CanonicalizeSpillRound(in)
-	if v := out["spill_round.round1_plus_us_per_op.fpppp/twoel.update"]; v != 295.1 {
-		t.Fatalf("canonical key missing: %v", out)
-	}
-	if _, ok := out["bench.SpillRound/fpppp_twoel/update.ns/op"]; !ok {
-		t.Fatal("non-round1+ metrics must pass through")
-	}
-	if _, ok := out["bench.AllocateProgram/fpppp.ns/op"]; !ok {
-		t.Fatal("other benchmarks must pass through")
-	}
-}
-
-// TestCanonicalizePareto: AllocateStrategy's custom overhead and
-// escalated units re-key under the baseline's pareto section; the
-// wall-time unit of the same cell keeps its allocate_strategy path.
-func TestCanonicalizePareto(t *testing.T) {
-	in := map[string]float64{
-		"bench.AllocateStrategy/li/linscan.ns/op":    165000,
-		"bench.AllocateStrategy/li/linscan.overhead": 123456.5,
-		"bench.AllocateStrategy/li/hybrid.escalated": 1,
-		"bench.AllocateStrategy/li/hybrid.overhead":  98765,
-	}
-	out := Canonicalize(in)
 	want := map[string]float64{
-		"allocate_strategy.ns_per_op.li.linscan": 165000,
-		"pareto.overhead.li.linscan":             123456.5,
-		"pareto.escalated.li.hybrid":             1,
-		"pareto.overhead.li.hybrid":              98765,
+		"SpillRound.fpppp_twoel.rebuild.ns/op":          612804, // repeat runs average
+		"SpillRound.fpppp_twoel.rebuild.round1+_us/op":  296,
+		"SpillRound.tomcatv_main.rebuild.ns/op":         901234,
+		"SpillRound.tomcatv_main.rebuild.round1+_us/op": 470,
+		"AllocateProgram.prep-cache.ns/op":              11939553,
+		"AllocateProgram.prep-cache.B/op":               4567,
+		"AllocateProgram.prep-cache.allocs/op":          12,
+		"AllocateStrategy.li.hybrid.ns/op":              454784,
+		"AllocateStrategy.li.hybrid.escalated":          1,
+		"AllocateStrategy.li.hybrid.overhead":           26468,
+		// Without a -cpu suffix (GOMAXPROCS=1) the name is kept whole.
+		"BatchAllocate.calldag.dag.ns/op":            3860876,
+		"BatchAllocate.calldag.dag.ready_peak":       20,
+		"BatchAllocate.calldag.dag.sched_speedup_x4": 3.249,
 	}
 	for k, v := range want {
-		if out[k] != v {
-			t.Errorf("%s = %g, want %g (out: %v)", k, out[k], v, out)
+		if got[k] != v {
+			t.Errorf("%s = %g, want %g", k, got[k], v)
 		}
 	}
-	if len(out) != len(want) {
-		t.Fatalf("Canonicalize left stray keys: %v", out)
+	if len(got) != len(want) {
+		t.Errorf("got %d metrics, want %d: %v", len(got), len(want), got)
 	}
 }
 
-// TestCanonicalizeServerAllocate: the rallocd request-cost benchmark
-// re-keys under the server_allocate section; non-ns units pass through.
-func TestCanonicalizeServerAllocate(t *testing.T) {
-	in := map[string]float64{
-		"bench.ServerAllocate/ear/cold.ns/op":     1852509,
-		"bench.ServerAllocate/ear/warm.ns/op":     911650,
-		"bench.ServerAllocate/ear/warm.allocs/op": 42,
+// TestBenchPattern: a baseline's top-level names pick the benchmarks
+// -bench mode runs. The checked-in baseline must name exactly the
+// benchmarks CI gates, and the pattern must not run a benchmark whose
+// name merely starts with one of them.
+func TestBenchPattern(t *testing.T) {
+	base, err := LoadFlat(filepath.Join("..", "..", "BENCH_10.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := Canonicalize(in)
-	if v := out["server_allocate.ns_per_op.ear.cold"]; v != 1852509 {
-		t.Fatalf("cold key missing: %v", out)
+	pat := BenchPattern(base)
+	if want := "^Benchmark(AllocateProgram|AllocateStrategy|BatchAllocate|ServerAllocate|SpillRound)$"; pat != want {
+		t.Fatalf("BenchPattern = %q, want %q", pat, want)
 	}
-	if v := out["server_allocate.ns_per_op.ear.warm"]; v != 911650 {
-		t.Fatalf("warm key missing: %v", out)
-	}
-	if _, ok := out["bench.ServerAllocate/ear/warm.allocs/op"]; !ok {
-		t.Fatalf("non-ns unit must pass through: %v", out)
+	re := regexp.MustCompile(pat)
+	for name, want := range map[string]bool{
+		"BenchmarkSpillRound":      true,
+		"BenchmarkBatchAllocate":   true,
+		"BenchmarkSpillRoundX":     false,
+		"BenchmarkAllocateProgram": true,
+		"BenchmarkAllocate":        false,
+	} {
+		if re.MatchString(name) != want {
+			t.Errorf("%s matches %q: %v, want %v", name, pat, !want, want)
+		}
 	}
 }
 
-// TestCanonicalizeBatch: the batch driver benchmark re-keys under the
-// batch section — wall times per mode, plus the schedule speedup and
-// ready-peak metrics the dag cell reports. The speedup must classify
-// as higher-is-better so a schedule regression is flagged.
-func TestCanonicalizeBatch(t *testing.T) {
-	in := map[string]float64{
-		"bench.BatchAllocate/calldag/seq.ns/op":            5415700,
-		"bench.BatchAllocate/calldag/dag.ns/op":            5345671,
-		"bench.BatchAllocate/calldag/dag.sched_speedup_x4": 3.29,
-		"bench.BatchAllocate/calldag/dag.ready_peak":       20,
+// TestRunExitCodeFailsOnMissingMetric: in -bench mode the baseline
+// chose which benchmarks ran, so a baseline metric the run lacks (a
+// renamed sub-benchmark or unit) fails the gate even with no
+// regression; two-file mode only lists it.
+func TestRunExitCodeFailsOnMissingMetric(t *testing.T) {
+	base := map[string]float64{
+		"SpillRound.fpppp_twoel.rebuild.ns/op":         600000,
+		"SpillRound.fpppp_twoel.rebuild.round1+_us/op": 300,
 	}
-	out := Canonicalize(in)
-	if v := out["batch.ns_per_op.calldag.seq"]; v != 5415700 {
-		t.Fatalf("seq key missing: %v", out)
+	cur := map[string]float64{
+		"SpillRound.fpppp_twoel.rebuild.ns/op":        600000,
+		"SpillRound.fpppp_twoel.rebuild.round1+_us/o": 300, // renamed unit
 	}
-	if v := out["batch.ns_per_op.calldag.dag"]; v != 5345671 {
-		t.Fatalf("dag key missing: %v", out)
+	rep := Compare(base, cur, 0.5)
+	if rep.ExitCode() != 0 {
+		t.Fatalf("ExitCode = %d, want 0: no metric regressed", rep.ExitCode())
 	}
-	if v := out["batch.sched_speedup_x4.calldag"]; v != 3.29 {
-		t.Fatalf("speedup key missing: %v", out)
+	if rep.RunExitCode() != 1 {
+		t.Fatal("RunExitCode must fail when the run lacks a baseline metric")
 	}
-	if v := out["batch.ready_peak.calldag"]; v != 20 {
-		t.Fatalf("ready_peak key missing: %v", out)
-	}
-	if DirectionOf("batch.sched_speedup_x4.calldag") != HigherIsBetter {
-		t.Fatal("schedule speedup must be higher-is-better")
-	}
-	if DirectionOf("batch.ns_per_op.calldag.dag") != LowerIsBetter {
-		t.Fatal("batch wall time must be lower-is-better")
+	cur["SpillRound.fpppp_twoel.rebuild.round1+_us/op"] = 300
+	if rep := Compare(base, cur, 0.5); rep.RunExitCode() != 0 {
+		t.Fatalf("RunExitCode = %d with every baseline metric present", rep.RunExitCode())
 	}
 }
 
 // TestDiffAgainstCheckedInBaseline exercises the exact CI shape: the
-// repo's BENCH_5.json baseline vs. a synthetic current run, via files.
+// repo's BENCH_10.json baseline vs. a current run as `-o` writes it,
+// keyed by ParseBenchOutput, via files.
 func TestDiffAgainstCheckedInBaseline(t *testing.T) {
-	baseline := filepath.Join("..", "..", "BENCH_5.json")
+	baseline := filepath.Join("..", "..", "BENCH_10.json")
 	flat, err := LoadFlat(baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "spill_round.round1_plus_us_per_op.fpppp/twoel.update"
+	run, err := ParseBenchOutput(strings.NewReader(
+		"BenchmarkSpillRound/fpppp_twoel/rebuild-2   100   943700 ns/op   598.1 round1+_us/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "SpillRound.fpppp_twoel.rebuild.round1+_us/op"
+	if _, ok := run[key]; !ok {
+		t.Fatalf("parsed run lacks %s: %v", key, run)
+	}
 	baseVal, ok := flat[key]
 	if !ok {
 		t.Fatalf("baseline lost %s: %v", key, flat)
 	}
 
-	cur := map[string]float64{key: baseVal * 3} // grossly regressed
 	curFile := filepath.Join(t.TempDir(), "cur.json")
-	raw, _ := json.Marshal(map[string]any{
-		"spill_round": map[string]any{
-			"round1_plus_us_per_op": map[string]any{
-				"fpppp/twoel": map[string]any{"update": cur[key]},
-			},
-		},
-	})
+	raw, _ := json.Marshal(map[string]float64{key: baseVal * 3}) // grossly regressed
 	if err := os.WriteFile(curFile, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +276,5 @@ func TestZeroBaselineDelta(t *testing.T) {
 	rep := Compare(map[string]float64{"x_ns": 0}, map[string]float64{"x_ns": 5}, 0.1)
 	if !math.IsInf(rep.Deltas[0].Pct, 1) || !rep.Deltas[0].Regression {
 		t.Fatalf("zero baseline growing must regress: %+v", rep.Deltas[0])
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	m := map[string]float64{"spill_round.a": 1, "liveness_solver.b": 2, "pr": 5}
-	got := Restrict(m, "spill_round.")
-	if len(got) != 1 || got["spill_round.a"] != 1 {
-		t.Fatalf("Restrict = %v", got)
 	}
 }
