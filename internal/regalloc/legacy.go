@@ -21,7 +21,8 @@ import (
 // pipeline behind AllocatePrepared must be byte-identical to this loop
 // — colors, spill slots, round counts, assembly, and the traced event
 // stream — on every benchmark program. It is not part of the public
-// allocation surface and ignores opts.Pipeline.
+// allocation surface: it always coalesces aggressively, as the default
+// pipeline does, and ignores opts.Pipeline.
 func AllocateLegacy(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.Config, strat Strategy, insertSpills SpillInserter, opts Options) (*FuncAlloc, error) {
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = DefaultMaxRounds
@@ -43,9 +44,8 @@ func AllocateLegacy(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.
 	// The round-0 aggressive-coalesce result and the round-0 range
 	// analysis are strategy- and configuration-independent too (the
 	// aggressive merge loop never reads k, and round 0 has no spill
-	// temporaries), so the default untraced configuration shares them
-	// across cells as well.
-	cachedRound0 := opts.Coalesce && !opts.ConservativeCoalesce && !traced
+	// temporaries), so untraced runs share them across cells as well.
+	cachedRound0 := !traced
 
 	for round := 0; round < opts.MaxRounds; round++ {
 		var live *liveness.Info
@@ -97,23 +97,16 @@ func AllocateLegacy(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.
 			}
 		} else {
 			for c := ir.Class(0); c < ir.NumClasses; c++ {
-				if opts.Coalesce {
-					graphs[c] = baseGraphs[c].Snapshot()
-					if traced {
-						class, rnd := c, round
-						graphs[c].TraceMerge = func(kept, gone ir.Reg) {
-							tr.Emit(obs.Event{Kind: obs.KindCoalesceMerge, Fn: work.Name,
-								Class: class, Round: rnd, Reg: kept, With: gone})
-						}
+				graphs[c] = baseGraphs[c].Snapshot()
+				if traced {
+					class, rnd := c, round
+					graphs[c].TraceMerge = func(kept, gone ir.Reg) {
+						tr.Emit(obs.Event{Kind: obs.KindCoalesceMerge, Fn: work.Name,
+							Class: class, Round: rnd, Reg: kept, With: gone})
 					}
-					graphs[c].Coalesce(opts.ConservativeCoalesce, config.Total(c))
-					graphs[c].TraceMerge = nil
-				} else {
-					// A snapshot, never the base itself: nothing the
-					// coloring round does to graphs[c] may reach the base
-					// graph.
-					graphs[c] = baseGraphs[c].Snapshot()
 				}
+				graphs[c].Coalesce(false, config.Total(c))
+				graphs[c].TraceMerge = nil
 			}
 		}
 		if traced {

@@ -92,9 +92,6 @@ const (
 	// BriggsCoalesce merges only when the combined node stays
 	// conservatively colorable (the Briggs test).
 	BriggsCoalesce
-	// NoCoalesce performs no merging; the working graphs are plain
-	// snapshots of the base graphs.
-	NoCoalesce
 )
 
 // String names the mode.
@@ -104,8 +101,6 @@ func (m CoalesceMode) String() string {
 		return "aggressive"
 	case BriggsCoalesce:
 		return "briggs"
-	case NoCoalesce:
-		return "off"
 	}
 	return "unknown"
 }
@@ -133,17 +128,15 @@ func (p coalescePass) Run(s *pipeline.State) error {
 		// Always a snapshot, never the base itself: the base stays the
 		// round's valid uncoalesced graph.
 		g := s.AM.Base(c).Snapshot()
-		if p.mode != NoCoalesce {
-			if s.Traced() {
-				class, rnd, name, tr := c, s.Round, s.Fn.Name, s.Tracer
-				g.TraceMerge = func(kept, gone ir.Reg) {
-					tr.Emit(obs.Event{Kind: obs.KindCoalesceMerge, Fn: name,
-						Class: class, Round: rnd, Reg: kept, With: gone})
-				}
+		if s.Traced() {
+			class, rnd, name, tr := c, s.Round, s.Fn.Name, s.Tracer
+			g.TraceMerge = func(kept, gone ir.Reg) {
+				tr.Emit(obs.Event{Kind: obs.KindCoalesceMerge, Fn: name,
+					Class: class, Round: rnd, Reg: kept, With: gone})
 			}
-			g.Coalesce(p.mode == BriggsCoalesce, s.Config.Total(c))
-			g.TraceMerge = nil
 		}
+		g.Coalesce(p.mode == BriggsCoalesce, s.Config.Total(c))
+		g.TraceMerge = nil
 		s.Graphs[c] = g
 	}
 	return nil
@@ -277,26 +270,19 @@ type PipelineBuilder interface {
 }
 
 // BuildPipeline assembles the default allocation pipeline for strat
-// under opts, mapping the option booleans onto pass variants. A
-// strategy implementing PipelineBuilder supplies its own pipeline
-// instead. Callers wanting a non-standard pipeline derive one from
-// this with Replace and Drop (or assemble their own) and set
+// under opts, coalescing aggressively. A strategy implementing
+// PipelineBuilder supplies its own pipeline instead. Callers wanting a
+// non-standard pipeline (another coalescing mode, none at all) derive
+// one from this with Replace and Drop (or assemble their own) and set
 // Options.Pipeline.
 func BuildPipeline(strat Strategy, insertSpills SpillInserter, opts Options) pipeline.Pipeline {
 	if pb, ok := strat.(PipelineBuilder); ok {
 		return pb.BuildPipeline(insertSpills, opts)
 	}
-	mode := AggressiveCoalesce
-	switch {
-	case !opts.Coalesce:
-		mode = NoCoalesce
-	case opts.ConservativeCoalesce:
-		mode = BriggsCoalesce
-	}
 	return pipeline.New(
 		LivenessPass(),
 		BuildGraphPass(),
-		CoalescePass(mode),
+		CoalescePass(AggressiveCoalesce),
 		RangesCostPass(opts.Interproc),
 		ColorPass(strat),
 		SpillRewritePass(insertSpills),

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/regalloc"
 	"repro/internal/rewrite"
@@ -143,50 +142,5 @@ func TestColorStackReusesBacking(t *testing.T) {
 	cycle() // grow the backing array once
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Errorf("steady-state push/pop allocates %.0f times per cycle, want 0", allocs)
-	}
-}
-
-// TestDropCoalescePipelineMatchesNoCoalesceOption checks that the two
-// ways of turning coalescing off — the option flag (which runs the
-// coalesce pass in its "off" mode) and the pipeline edit that removes
-// the pass entirely — produce the same allocation. This is what makes
-// Drop a well-formed ablation: downstream passes materialize the
-// missing working graphs themselves.
-func TestDropCoalescePipelineMatchesNoCoalesceOption(t *testing.T) {
-	fn, ff := prepFixture(t, pressureSrc, "f")
-	config := machine.NewConfig(6, 4, 0, 0)
-	strat := &regalloc.Chaitin{}
-
-	optOff := regalloc.DefaultOptions()
-	optOff.Coalesce = false
-	want, err := regalloc.AllocatePrepared(regalloc.Prepare(fn), ff, config,
-		strat, rewrite.InsertSpills, optOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dropped := regalloc.BuildPipeline(strat, rewrite.InsertSpills, regalloc.DefaultOptions()).
-		Drop(obs.PhaseCoalesce)
-	optDrop := regalloc.DefaultOptions()
-	optDrop.Pipeline = &dropped
-	got, err := regalloc.AllocatePrepared(regalloc.Prepare(fn), ff, config,
-		strat, rewrite.InsertSpills, optDrop)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.Rounds != want.Rounds {
-		t.Errorf("rounds: drop=%d off=%d", got.Rounds, want.Rounds)
-	}
-	if len(got.Colors) != len(want.Colors) {
-		t.Fatalf("colors length: drop=%d off=%d", len(got.Colors), len(want.Colors))
-	}
-	for r := range want.Colors {
-		if got.Colors[r] != want.Colors[r] {
-			t.Errorf("v%d: drop=%v off=%v", r, got.Colors[r], want.Colors[r])
-		}
-	}
-	if len(got.SlotOf) != len(want.SlotOf) {
-		t.Errorf("spill slots: drop=%d off=%d", len(got.SlotOf), len(want.SlotOf))
 	}
 }

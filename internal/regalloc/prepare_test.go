@@ -12,6 +12,8 @@ import (
 	"repro/internal/ir"
 	"repro/internal/liveness"
 	"repro/internal/machine"
+	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/regalloc"
 	"repro/internal/rewrite"
 )
@@ -53,11 +55,13 @@ func freshBaseGraphs(fn *ir.Func) [ir.NumClasses]*interference.Graph {
 func TestNoCoalesceBaseGraphsStayFrozen(t *testing.T) {
 	fn, ff := prepFixture(t, pressureSrc, "f")
 	prep := regalloc.Prepare(fn)
+	strat := &regalloc.Chaitin{}
 	opts := regalloc.DefaultOptions()
-	opts.Coalesce = false
+	dropped := regalloc.BuildPipeline(strat, rewrite.InsertSpills, opts).Drop(obs.PhaseCoalesce)
+	opts.Pipeline = &dropped
 
 	config := machine.NewConfig(6, 4, 0, 0)
-	fa1, err := regalloc.AllocatePrepared(prep, ff, config, &regalloc.Chaitin{}, rewrite.InsertSpills, opts)
+	fa1, err := regalloc.AllocatePrepared(prep, ff, config, strat, rewrite.InsertSpills, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestNoCoalesceBaseGraphsStayFrozen(t *testing.T) {
 
 	// A second allocation from the same (now warm) prep must reproduce
 	// the first exactly.
-	fa2, err := regalloc.AllocatePrepared(prep, ff, config, &regalloc.Chaitin{}, rewrite.InsertSpills, opts)
+	fa2, err := regalloc.AllocatePrepared(prep, ff, config, strat, rewrite.InsertSpills, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +95,20 @@ func TestAllocatePreparedMatchesAllocateFunc(t *testing.T) {
 	for _, config := range []machine.Config{machine.NewConfig(6, 4, 0, 0), machine.NewConfig(8, 6, 4, 4), machine.Full} {
 		for _, mode := range []struct {
 			name string
-			set  func(*regalloc.Options)
+			edit func(pipeline.Pipeline) pipeline.Pipeline
 		}{
-			{"default", func(o *regalloc.Options) {}},
-			{"conservative", func(o *regalloc.Options) { o.ConservativeCoalesce = true }},
-			{"no-coalesce", func(o *regalloc.Options) { o.Coalesce = false }},
+			{"default", nil},
+			{"conservative", func(p pipeline.Pipeline) pipeline.Pipeline {
+				return p.Replace(obs.PhaseCoalesce, regalloc.CoalescePass(regalloc.BriggsCoalesce))
+			}},
+			{"no-coalesce", func(p pipeline.Pipeline) pipeline.Pipeline { return p.Drop(obs.PhaseCoalesce) }},
 		} {
-			opts := regalloc.DefaultOptions()
-			mode.set(&opts)
 			for _, strat := range []regalloc.Strategy{&regalloc.Chaitin{}, &regalloc.Chaitin{Optimistic: true}} {
+				opts := regalloc.DefaultOptions()
+				if mode.edit != nil {
+					p := mode.edit(regalloc.BuildPipeline(strat, rewrite.InsertSpills, opts))
+					opts.Pipeline = &p
+				}
 				want, err := regalloc.AllocateFunc(fn, ff, config, strat, rewrite.InsertSpills, opts)
 				if err != nil {
 					t.Fatalf("%s %s at %s: %v", mode.name, strat.Name(), config, err)

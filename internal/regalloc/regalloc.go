@@ -684,12 +684,6 @@ func pickPreferred(caller, callee []machine.PhysReg, preferCallee bool) machine.
 
 // Options configure an allocation run.
 type Options struct {
-	// Coalesce enables live-range coalescing (on in every configuration
-	// of the paper's framework). Default true via DefaultOptions.
-	Coalesce bool
-	// ConservativeCoalesce uses the Briggs test instead of aggressive
-	// coalescing.
-	ConservativeCoalesce bool
 	// MaxRounds bounds build→color→spill iterations.
 	MaxRounds int
 	// Ctx, when non-nil, bounds the allocation with a deadline or
@@ -733,10 +727,10 @@ type Options struct {
 	// Pipeline overrides the pass pipeline. Nil — the default — runs
 	// BuildPipeline(strat, insertSpills, opts), i.e. the standard
 	// liveness → build-graph → coalesce → liverange → color →
-	// spill-rewrite sequence with the coalescing options applied.
-	// Ablations set a derived pipeline (Replace/Drop) here; when set,
-	// the Coalesce and ConservativeCoalesce fields are ignored — the
-	// pipeline already encodes them.
+	// spill-rewrite sequence with aggressive coalescing. Ablations set
+	// a derived pipeline here: Replace the coalesce pass with
+	// CoalescePass(BriggsCoalesce) for conservative coalescing, or Drop
+	// it to allocate without coalescing.
 	Pipeline *pipeline.Pipeline
 }
 
@@ -746,7 +740,7 @@ const DefaultMaxRounds = pipeline.DefaultMaxRounds
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
-	return Options{Coalesce: true, MaxRounds: DefaultMaxRounds}
+	return Options{MaxRounds: DefaultMaxRounds}
 }
 
 // FuncAlloc is the final allocation of one function.
