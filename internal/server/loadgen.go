@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -61,109 +62,11 @@ func other(m map[int]int) int {
 // a differential checker. The first verification mismatch or transport
 // error aborts the run.
 func RunLoad(baseURL string, bodies [][]byte, concurrency, verifyEvery int) (*LoadStats, error) {
-	if concurrency <= 0 {
-		concurrency = 1
+	units := make([]loadUnit, len(bodies))
+	for i, body := range bodies {
+		units[i] = loadUnit{body: body, first: i, n: 1}
 	}
-	client := &http.Client{
-		Timeout: 120 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        concurrency,
-			MaxIdleConnsPerHost: concurrency,
-		},
-	}
-	stats := &LoadStats{Other: make(map[int]int)}
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	var next int64
-	var nextMu sync.Mutex
-	claim := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		i := int(next)
-		next++
-		if i >= len(bodies) {
-			return -1
-		}
-		return i
-	}
-
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				aborted := firstErr != nil
-				mu.Unlock()
-				if aborted {
-					return
-				}
-				i := claim()
-				if i < 0 {
-					return
-				}
-				resp, err := client.Post(baseURL+"/allocate", "application/json", bytes.NewReader(bodies[i]))
-				if err != nil {
-					fail(fmt.Errorf("request %d: %w", i, err))
-					return
-				}
-				raw, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					fail(fmt.Errorf("request %d: read response: %w", i, err))
-					return
-				}
-				mu.Lock()
-				stats.Requests++
-				switch resp.StatusCode {
-				case http.StatusOK:
-					stats.OK++
-				case http.StatusTooManyRequests:
-					stats.Shed++
-				default:
-					stats.Other[resp.StatusCode]++
-				}
-				mu.Unlock()
-				if resp.StatusCode != http.StatusOK {
-					continue
-				}
-				var r Response
-				if err := json.Unmarshal(raw, &r); err != nil {
-					fail(fmt.Errorf("request %d: bad response JSON: %w", i, err))
-					return
-				}
-				mu.Lock()
-				stats.CacheHits += r.CacheHits
-				stats.CacheMisses += r.CacheMisses
-				verify := verifyEvery > 0 && i%verifyEvery == 0
-				mu.Unlock()
-				if verify {
-					if err := verifyAgainstOracle(bodies[i], &r); err != nil {
-						fail(fmt.Errorf("request %d: %w", i, err))
-						return
-					}
-					mu.Lock()
-					stats.Verified++
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	stats.Elapsed = time.Since(t0)
-	if firstErr != nil {
-		return stats, firstErr
-	}
-	return stats, nil
+	return runLoad(baseURL+"/allocate", "request", bodies, units, allocateItems, concurrency, verifyEvery)
 }
 
 // RunBatchLoad drives the same corpus through the /batch endpoint:
@@ -178,19 +81,9 @@ func RunBatchLoad(baseURL string, bodies [][]byte, batchSize, concurrency, verif
 	if batchSize <= 0 {
 		batchSize = 1
 	}
-	if concurrency <= 0 {
-		concurrency = 1
-	}
-	type group struct {
-		start int
-		body  []byte
-	}
-	var groups []group
+	var units []loadUnit
 	for start := 0; start < len(bodies); start += batchSize {
-		end := start + batchSize
-		if end > len(bodies) {
-			end = len(bodies)
-		}
+		end := min(start+batchSize, len(bodies))
 		// Each corpus body is a JSON object; a batch request is the
 		// JSON array of them.
 		var buf bytes.Buffer
@@ -202,9 +95,73 @@ func RunBatchLoad(baseURL string, bodies [][]byte, batchSize, concurrency, verif
 			buf.Write(bodies[i])
 		}
 		buf.WriteByte(']')
-		groups = append(groups, group{start: start, body: buf.Bytes()})
+		units = append(units, loadUnit{body: buf.Bytes(), first: start, n: end - start})
 	}
+	return runLoad(baseURL+"/batch", "batch", bodies, units, batchItems, concurrency, verifyEvery)
+}
 
+// loadUnit is one POST of a load run: a single /allocate body, or a
+// /batch group of corpus items. Its items are bodies[first:first+n].
+type loadUnit struct {
+	body     []byte
+	first, n int
+}
+
+// itemOutcome is one corpus item's result within a unit's response:
+// its status and, for a 200, the served response.
+type itemOutcome struct {
+	status int
+	resp   *Response
+}
+
+// allocateItems reads an /allocate response as its unit's one item.
+func allocateItems(status int, raw []byte, _ int) ([]itemOutcome, error) {
+	if status != http.StatusOK {
+		return []itemOutcome{{status: status}}, nil
+	}
+	var r Response
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return nil, fmt.Errorf("bad response JSON: %w", err)
+	}
+	return []itemOutcome{{status: status, resp: &r}}, nil
+}
+
+// batchItems reads a /batch response as its n items' outcomes. A
+// batch refused at the edge (shed or error) gives every item its
+// status.
+func batchItems(status int, raw []byte, n int) ([]itemOutcome, error) {
+	out := make([]itemOutcome, n)
+	if status != http.StatusOK {
+		for j := range out {
+			out[j].status = status
+		}
+		return out, nil
+	}
+	var items []BatchItem
+	if err := json.Unmarshal(raw, &items); err != nil {
+		return nil, fmt.Errorf("bad response JSON: %w", err)
+	}
+	if len(items) != n {
+		return nil, fmt.Errorf("%d items for %d requests", len(items), n)
+	}
+	for j, item := range items {
+		out[j] = itemOutcome{status: item.Status, resp: item.Response}
+	}
+	return out, nil
+}
+
+// runLoad POSTs every unit to url from concurrency goroutines, reads
+// each response into per-item outcomes with items, and tallies them.
+// Every verifyEvery-th corpus item that was served is byte-compared
+// against the in-process oracle. The first transport error, malformed
+// response or verification mismatch aborts the run; kind names a unit
+// in its error.
+func runLoad(url, kind string, bodies [][]byte, units []loadUnit,
+	items func(status int, raw []byte, n int) ([]itemOutcome, error),
+	concurrency, verifyEvery int) (*LoadStats, error) {
+	if concurrency <= 0 {
+		concurrency = 1
+	}
 	client := &http.Client{
 		Timeout: 120 * time.Second,
 		Transport: &http.Transport{
@@ -213,7 +170,7 @@ func RunBatchLoad(baseURL string, bodies [][]byte, batchSize, concurrency, verif
 		},
 	}
 	stats := &LoadStats{Other: make(map[int]int)}
-	var mu sync.Mutex
+	var mu sync.Mutex // guards stats and firstErr
 	var firstErr error
 	fail := func(err error) {
 		mu.Lock()
@@ -222,18 +179,12 @@ func RunBatchLoad(baseURL string, bodies [][]byte, batchSize, concurrency, verif
 		}
 		mu.Unlock()
 	}
-	var next int64
-	var nextMu sync.Mutex
-	claim := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		i := int(next)
-		next++
-		if i >= len(groups) {
-			return -1
-		}
-		return i
+	aborted := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return firstErr != nil
 	}
+	var next atomic.Int64
 
 	t0 := time.Now()
 	var wg sync.WaitGroup
@@ -241,95 +192,62 @@ func RunBatchLoad(baseURL string, bodies [][]byte, batchSize, concurrency, verif
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				aborted := firstErr != nil
-				mu.Unlock()
-				if aborted {
+			for !aborted() {
+				ui := int(next.Add(1) - 1)
+				if ui >= len(units) {
 					return
 				}
-				gi := claim()
-				if gi < 0 {
-					return
-				}
-				g := groups[gi]
-				nItems := len(bodies) - g.start
-				if nItems > batchSize {
-					nItems = batchSize
-				}
-				resp, err := client.Post(baseURL+"/batch", "application/json", bytes.NewReader(g.body))
+				u := units[ui]
+				resp, err := client.Post(url, "application/json", bytes.NewReader(u.body))
 				if err != nil {
-					fail(fmt.Errorf("batch %d: %w", gi, err))
+					fail(fmt.Errorf("%s %d: %w", kind, ui, err))
 					return
 				}
 				raw, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if err != nil {
-					fail(fmt.Errorf("batch %d: read response: %w", gi, err))
+					fail(fmt.Errorf("%s %d: read response: %w", kind, ui, err))
 					return
 				}
-				if resp.StatusCode != http.StatusOK {
-					// The whole batch was refused at the edge (shed or
-					// error) — every item shares the outcome.
-					mu.Lock()
-					stats.Requests += nItems
-					if resp.StatusCode == http.StatusTooManyRequests {
-						stats.Shed += nItems
-					} else {
-						stats.Other[resp.StatusCode] += nItems
-					}
-					mu.Unlock()
-					continue
-				}
-				var items []BatchItem
-				if err := json.Unmarshal(raw, &items); err != nil {
-					fail(fmt.Errorf("batch %d: bad response JSON: %w", gi, err))
+				outcomes, err := items(resp.StatusCode, raw, u.n)
+				if err != nil {
+					fail(fmt.Errorf("%s %d: %w", kind, ui, err))
 					return
 				}
-				if len(items) != nItems {
-					fail(fmt.Errorf("batch %d: %d items for %d requests", gi, len(items), nItems))
-					return
-				}
-				for j, item := range items {
-					idx := g.start + j
+				for j, o := range outcomes {
+					idx := u.first + j
 					mu.Lock()
 					stats.Requests++
-					switch item.Status {
+					switch o.status {
 					case http.StatusOK:
 						stats.OK++
 					case http.StatusTooManyRequests:
 						stats.Shed++
 					default:
-						stats.Other[item.Status]++
+						stats.Other[o.status]++
+					}
+					if o.status == http.StatusOK && o.resp != nil {
+						stats.CacheHits += o.resp.CacheHits
+						stats.CacheMisses += o.resp.CacheMisses
 					}
 					mu.Unlock()
-					if item.Status != http.StatusOK || item.Response == nil {
+					if o.status != http.StatusOK || o.resp == nil || verifyEvery <= 0 || idx%verifyEvery != 0 {
 						continue
 					}
-					mu.Lock()
-					stats.CacheHits += item.Response.CacheHits
-					stats.CacheMisses += item.Response.CacheMisses
-					verify := verifyEvery > 0 && idx%verifyEvery == 0
-					mu.Unlock()
-					if verify {
-						if err := verifyAgainstOracle(bodies[idx], item.Response); err != nil {
-							fail(fmt.Errorf("batch %d item %d: %w", gi, j, err))
-							return
-						}
-						mu.Lock()
-						stats.Verified++
-						mu.Unlock()
+					if err := verifyAgainstOracle(bodies[idx], o.resp); err != nil {
+						fail(fmt.Errorf("request %d: %w", idx, err))
+						return
 					}
+					mu.Lock()
+					stats.Verified++
+					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	stats.Elapsed = time.Since(t0)
-	if firstErr != nil {
-		return stats, firstErr
-	}
-	return stats, nil
+	return stats, firstErr
 }
 
 // verifyAgainstOracle byte-compares a served result against the

@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/randprog"
@@ -72,5 +74,28 @@ func TestRunBatchLoadSmoke(t *testing.T) {
 	}
 	if stats.CacheHits == 0 {
 		t.Fatalf("repeated corpus produced no cache hits: %v", stats)
+	}
+}
+
+// TestLoadTalliesRefusedUnitsPerItem: a POST refused at the edge
+// counts once per corpus item it carried, so a shed /batch group of n
+// sheds n requests and /allocate and /batch runs tally alike.
+func TestLoadTalliesRefusedUnitsPerItem(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	defer ts.Close()
+	bodies := randprog.Corpus(5, 7)
+	for name, run := range map[string]func() (*LoadStats, error){
+		"allocate": func() (*LoadStats, error) { return RunLoad(ts.URL, bodies, 2, 1) },
+		"batch":    func() (*LoadStats, error) { return RunBatchLoad(ts.URL, bodies, 3, 2, 1) },
+	} {
+		stats, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.Requests != len(bodies) || stats.Shed != len(bodies) || stats.OK != 0 || stats.Verified != 0 {
+			t.Errorf("%s: %v, want %d requests all shed", name, stats, len(bodies))
+		}
 	}
 }
