@@ -229,36 +229,37 @@ func TestRunExitCodeFailsOnMissingMetric(t *testing.T) {
 }
 
 // TestDiffAgainstCheckedInBaseline exercises the exact CI shape: the
-// repo's BENCH_10.json baseline vs. a current run as `-o` writes it,
-// keyed by ParseBenchOutput, via files.
+// repo's BENCH_10.json baseline vs. a fresh SpillRound run as `-o`
+// writes it (ParseBenchOutput's keys, flat), via files.
 func TestDiffAgainstCheckedInBaseline(t *testing.T) {
 	baseline := filepath.Join("..", "..", "BENCH_10.json")
 	flat, err := LoadFlat(baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// About 3x the baseline on both units: grossly regressed.
 	run, err := ParseBenchOutput(strings.NewReader(
-		"BenchmarkSpillRound/fpppp_twoel/rebuild-2   100   943700 ns/op   598.1 round1+_us/op\n"))
+		"BenchmarkSpillRound/fpppp_twoel/rebuild-2   100   1640000 ns/op   1036 round1+_us/op\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "SpillRound.fpppp_twoel.rebuild.round1+_us/op"
-	if _, ok := run[key]; !ok {
-		t.Fatalf("parsed run lacks %s: %v", key, run)
-	}
-	baseVal, ok := flat[key]
-	if !ok {
-		t.Fatalf("baseline lost %s: %v", key, flat)
+	for key := range run {
+		if _, ok := flat[key]; !ok {
+			t.Fatalf("baseline lacks the parsed key %s", key)
+		}
 	}
 
 	curFile := filepath.Join(t.TempDir(), "cur.json")
-	raw, _ := json.Marshal(map[string]float64{key: baseVal * 3}) // grossly regressed
+	raw, _ := json.Marshal(run)
 	if err := os.WriteFile(curFile, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := DiffFiles(baseline, curFile, 0.5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rep.Deltas) != len(run) || len(rep.Regressions()) != len(run) {
+		t.Fatalf("%d of %d parsed metrics compared, %d regressed; want all", len(rep.Deltas), len(run), len(rep.Regressions()))
 	}
 	if rep.ExitCode() != 1 {
 		t.Fatal("3x slowdown over baseline must exit nonzero")
