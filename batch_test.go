@@ -157,6 +157,39 @@ func TestBatchInterprocExecutes(t *testing.T) {
 	}
 }
 
+// TestBatchExplicitPipelineKeepsInterproc holds interprocedural costs
+// to the run, not to the pipeline value: with Interproc on, setting
+// AllocOptions.Pipeline to the very pipeline PipelineFor returns must
+// allocate byte-identically — colors, spill slots, rounds, callee-save
+// usage, assembly — to leaving it nil, on every benchmark program with
+// profile frequencies, for the graph-coloring and both scan tiers.
+func TestBatchExplicitPipelineKeepsInterproc(t *testing.T) {
+	config := callcost.NewConfig(8, 6, 4, 4)
+	bopts := callcost.BatchOptions{Interproc: true}
+	for _, bp := range benchprog.All() {
+		prog := callcost.MustCompile(bp.Source)
+		pf, _, err := prog.Profile()
+		if err != nil {
+			t.Fatalf("%s: profile: %v", bp.Name, err)
+		}
+		for name, strat := range batchStrategies() {
+			tag := fmt.Sprintf("%s/%s", bp.Name, name)
+			want, _, err := prog.AllocateProgramBatch(strat, config, pf, callcost.DefaultAllocOptions(), bopts)
+			if err != nil {
+				t.Fatalf("%s: default pipeline: %v", tag, err)
+			}
+			opts := callcost.DefaultAllocOptions()
+			pl := callcost.PipelineFor(strat, callcost.DefaultAllocOptions())
+			opts.Pipeline = &pl
+			got, _, err := prog.AllocateProgramBatch(strat, config, pf, opts, bopts)
+			if err != nil {
+				t.Fatalf("%s: explicit pipeline: %v", tag, err)
+			}
+			comparePlans(t, tag, want, got)
+		}
+	}
+}
+
 // TestBatchTelemetry asserts the driver feeds the batch instruments:
 // wave totals, the DAG ready-peak gauge, and interprocedural summary
 // hits all become visible in the registry snapshot.

@@ -257,10 +257,13 @@ func DefaultAllocOptions() AllocOptions { return regalloc.DefaultOptions() }
 type PassPipeline = pipeline.Pipeline
 
 // PipelineFor returns the default pass pipeline the allocator would
-// run for strat under opts — the starting point for deriving ablation
-// pipelines.
+// run for strat — the starting point for deriving ablation pipelines.
+// The pipeline is the same under every opts: the passes read per-run
+// settings such as opts.Interproc from the run's state, so a pipeline
+// derived from this one and set as opts.Pipeline allocates exactly as
+// the default does.
 func PipelineFor(strat Strategy, opts AllocOptions) PassPipeline {
-	return regalloc.BuildPipeline(strat, rewrite.InsertSpills, opts)
+	return regalloc.BuildPipeline(strat, rewrite.InsertSpills)
 }
 
 // ---------------------------------------------------------------------

@@ -317,22 +317,10 @@ func (g *Graph) AppendNodes(buf []ir.Reg) []ir.Reg {
 	return buf
 }
 
-// Members returns all virtual registers whose live range is represented
-// by rep, including rep itself, in increasing register order. The walk
-// follows the class's member cycle, so the cost is O(|members|), not a
-// scan over every register.
-func (g *Graph) Members(rep ir.Reg) []ir.Reg {
-	out := []ir.Reg{rep}
-	for r := g.next[rep]; r != rep; r = g.next[r] {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ForEachMember calls f for every member of rep's live range, rep
-// included, in member-cycle order — unsorted and allocation-free. Use
-// Members where a deterministic order matters.
+// included, in member-cycle order — unsorted and allocation-free. The
+// walk follows the class's member cycle, so the cost is O(|members|),
+// not a scan over every register.
 func (g *Graph) ForEachMember(rep ir.Reg, f func(m ir.Reg)) {
 	f(rep)
 	for r := g.next[rep]; r != rep; r = g.next[r] {

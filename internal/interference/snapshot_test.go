@@ -3,6 +3,7 @@ package interference_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestSnapshotReadsDoNotPrivatize(t *testing.T) {
 		if !regsEqual(sn.NeighborsSorted(r), base.NeighborsSorted(r)) {
 			t.Fatalf("neighbors(%v) differ from base", r)
 		}
-		if !regsEqual(sn.Members(r), base.Members(r)) {
+		if !regsEqual(members(sn, r), members(base, r)) {
 			t.Fatalf("members(%v) differ from base", r)
 		}
 	}
@@ -130,6 +131,14 @@ func TestSnapshotReadsDoNotPrivatize(t *testing.T) {
 	if !sn.Shared() {
 		t.Fatal("pure reads privatized the snapshot")
 	}
+}
+
+// members lists rep's live-range members in increasing register order.
+func members(g *interference.Graph, rep ir.Reg) []ir.Reg {
+	var out []ir.Reg
+	g.ForEachMember(rep, func(m ir.Reg) { out = append(out, m) })
+	slices.Sort(out)
+	return out
 }
 
 // spillSrc keeps several values live across a loop with a call
@@ -203,7 +212,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 			for _, r := range sn.Nodes() {
 				sn.Degree(r)
 				sn.Neighbors(r, func(ir.Reg) {})
-				sn.Members(r)
+				sn.ForEachMember(r, func(ir.Reg) {})
 			}
 			sn.Coalesce(false, 4) // privatizes only this goroutine's view
 			_ = sn.Nodes()

@@ -195,12 +195,6 @@ func (in *Instr) IsTerminator() bool {
 	return false
 }
 
-// Uses appends the registers read by the instruction to dst and returns
-// the extended slice.
-func (in *Instr) Uses(dst []Reg) []Reg {
-	return append(dst, in.Args...)
-}
-
 // Block is a basic block. Blocks are identified by their index in
 // Func.Blocks; the entry block is index 0.
 type Block struct {

@@ -64,10 +64,6 @@ type funcIntervals struct {
 	// entry is the function's entry frequency; the callee-save benefit
 	// is spillCost − 2×entry (one save and one restore per invocation).
 	entry float64
-	// hullOnly disables the segment refinement: conflict falls back to
-	// hull overlap and the blocked path spills instead of binpacking —
-	// the PR 7 behavior, kept as an ablation and differential baseline.
-	hullOnly bool
 }
 
 // live reports whether r ever occurs or is live.
@@ -229,19 +225,6 @@ func analyze(fn *ir.Func, live *liveness.Info, ff *freq.FuncFreq, config machine
 	return fi
 }
 
-// conflicts reports whether registers a and b may need distinct
-// physical registers: hull overlap under the conservative ablation,
-// segment intersection otherwise.
-func (fi *funcIntervals) conflicts(a, b int) bool {
-	if fi.start[a] > fi.end[b] || fi.start[b] > fi.end[a] {
-		return false
-	}
-	if fi.hullOnly {
-		return true
-	}
-	return fi.segs[a].intersects(fi.segs[b])
-}
-
 // benefits returns the paper's two benefit functions for register r:
 // what keeping it in a caller-save register saves over memory, and the
 // same for a callee-save register.
@@ -394,20 +377,18 @@ func (fi *funcIntervals) scan(fn *ir.Func, class ir.Class, config machine.Config
 		// Every register is occupied. First chance, hole assignment:
 		// binpack the range into a register whose residents' segments
 		// are all disjoint from its own.
-		if !fi.hullOnly {
-			hole := func(col machine.PhysReg) bool {
-				for _, o := range occ[col] {
-					if fi.segs[o.reg].intersects(fi.segs[r]) {
-						return false
-					}
+		hole := func(col machine.PhysReg) bool {
+			for _, o := range occ[col] {
+				if fi.segs[o.reg].intersects(fi.segs[r]) {
+					return false
 				}
-				return true
 			}
-			if col := fi.pickBy(it.reg, class, config, n, out.colors, preferCallee, hole); col != machine.NoPhysReg {
-				place(it.reg, col, it.start, viaHole)
-				out.holeAssigns++
-				continue
-			}
+			return true
+		}
+		if col := fi.pickBy(it.reg, class, config, n, out.colors, preferCallee, hole); col != machine.NoPhysReg {
+			place(it.reg, col, it.start, viaHole)
+			out.holeAssigns++
+			continue
 		}
 
 		// Blocked: find the cheapest way to clear one register for the
@@ -437,10 +418,10 @@ func (fi *funcIntervals) scan(fn *ir.Func, class ir.Class, config machine.Config
 			col := machine.PhysReg(i)
 			cost, clear := 0.0, true
 			for _, o := range occ[col] {
-				if !fi.hullOnly && !fi.segs[o.reg].intersects(fi.segs[r]) {
+				if !fi.segs[o.reg].intersects(fi.segs[r]) {
 					continue
 				}
-				if !fi.hullOnly && reseatTarget(o.reg, col) != machine.NoPhysReg {
+				if reseatTarget(o.reg, col) != machine.NoPhysReg {
 					continue
 				}
 				if noSpill(o.reg) {
@@ -463,14 +444,14 @@ func (fi *funcIntervals) scan(fn *ir.Func, class ir.Class, config machine.Config
 		if selfCost <= evictCost {
 			// The item is the cheapest loser; it gets a second chance
 			// against the committed assignment before going to memory.
-			fi.surrender(it.reg, &pending, spill)
+			pending = append(pending, it.reg)
 			continue
 		}
 		o := occ[evictCol]
 		var displaced []ir.Reg
 		for j := 0; j < len(o); {
 			vr := o[j].reg
-			if !fi.hullOnly && !fi.segs[vr].intersects(fi.segs[r]) {
+			if !fi.segs[vr].intersects(fi.segs[r]) {
 				j++
 				continue
 			}
@@ -488,16 +469,14 @@ func (fi *funcIntervals) scan(fn *ir.Func, class ir.Class, config machine.Config
 		// register rejects it naturally; displaced residents of one
 		// register are pairwise disjoint, so earlier re-seats never block
 		// later ones. Whatever cannot re-seat falls back to the pending
-		// pass (memory under the hull ablation).
+		// pass.
 		for _, vr := range displaced {
-			if !fi.hullOnly {
-				if col := reseatTarget(vr, machine.NoPhysReg); col != machine.NoPhysReg {
-					place(vr, col, fi.start[vr], viaSecond)
-					out.secondChance++
-					continue
-				}
+			if col := reseatTarget(vr, machine.NoPhysReg); col != machine.NoPhysReg {
+				place(vr, col, fi.start[vr], viaSecond)
+				out.secondChance++
+				continue
 			}
-			fi.surrender(vr, &pending, spill)
+			pending = append(pending, vr)
 		}
 	}
 
@@ -546,17 +525,6 @@ func (fi *funcIntervals) scan(fn *ir.Func, class ir.Class, config machine.Config
 		}
 	}
 	return nil
-}
-
-// surrender routes a range that lost its register: under the hull
-// ablation it spills immediately (the PR 7 behavior); otherwise it
-// joins the pending list for the second-chance pass.
-func (fi *funcIntervals) surrender(r ir.Reg, pending *[]ir.Reg, spill func(ir.Reg, string)) {
-	if fi.hullOnly {
-		spill(r, reasonPressure)
-		return
-	}
-	*pending = append(*pending, r)
 }
 
 // removeReg deletes the first occurrence of r by swap-removal.

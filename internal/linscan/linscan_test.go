@@ -62,11 +62,11 @@ func alloc(t *testing.T, src, fn string, strat regalloc.Strategy, config machine
 }
 
 func TestScanPipelineShape(t *testing.T) {
-	pl := regalloc.BuildPipeline(&linscan.Scan{}, rewrite.InsertSpills, regalloc.DefaultOptions())
+	pl := regalloc.BuildPipeline(&linscan.Scan{}, rewrite.InsertSpills)
 	if got, want := strings.Join(pl.Names(), " "), "liveness scan spill-rewrite"; got != want {
 		t.Fatalf("scan pipeline = %q, want %q", got, want)
 	}
-	pl = regalloc.BuildPipeline(&linscan.Hybrid{}, rewrite.InsertSpills, regalloc.DefaultOptions())
+	pl = regalloc.BuildPipeline(&linscan.Hybrid{}, rewrite.InsertSpills)
 	want := []string{obs.PhaseLiveness, obs.PhaseScan, obs.PhaseBuild, obs.PhaseCoalesce,
 		obs.PhaseRanges, obs.PhaseColor, obs.PhaseRewrite}
 	if got := pl.Names(); strings.Join(got, " ") != strings.Join(want, " ") {

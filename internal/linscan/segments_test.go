@@ -166,7 +166,7 @@ int main() { return f(3); }`
 	// y is live straight through the gap, so the hole-aware conflict
 	// test must still report a conflict with x.
 	y := regByName(t, fn, "y")
-	if !fi.conflicts(int(x), int(y)) {
+	if !fi.segs[x].intersects(fi.segs[y]) {
 		t.Error("x and y should conflict: y is live through x's hole region")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/interproc"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -23,24 +22,16 @@ import (
 // and assigns registers in a single sweep with hole-aware second-chance
 // binpacking. The zero value is ready to use and safe for concurrent
 // allocations.
-type Scan struct {
-	// ConservativeHulls disables the segment refinement: conflict falls
-	// back to the PR 7 hull-overlap test and the blocked path spills
-	// instead of binpacking. Kept as an ablation and as the baseline of
-	// the hole-vs-hull overhead differential; the registered "linscan"
-	// strategy leaves it false.
-	ConservativeHulls bool
-}
+type Scan struct{}
 
 // Name implements Strategy.
 func (*Scan) Name() string { return "linscan" }
 
-// BuildPipeline implements regalloc.PipelineBuilder. The coalescing
-// options have no meaning without a graph and are ignored.
-func (sc *Scan) BuildPipeline(insertSpills regalloc.SpillInserter, opts regalloc.Options) pipeline.Pipeline {
+// BuildPipeline implements regalloc.PipelineBuilder.
+func (*Scan) BuildPipeline(insertSpills regalloc.SpillInserter) pipeline.Pipeline {
 	return pipeline.New(
 		regalloc.LivenessPass(),
-		scanPass{hulls: sc.ConservativeHulls, cc: opts.Interproc},
+		scanPass{},
 		regalloc.SpillRewritePass(insertSpills),
 	)
 }
@@ -119,9 +110,9 @@ func (sc *Scan) Allocate(ctx *regalloc.ClassContext) *regalloc.ClassResult {
 }
 
 // runScan performs the analysis walk and the per-bank scans against
-// the pipeline state, without committing anything. hulls selects the
-// conservative hull-overlap ablation.
-func runScan(s *pipeline.State, hulls bool, cc *interproc.Table) (*funcIntervals, *scanOutcome, error) {
+// the pipeline state, without committing anything. Call sites are
+// charged by the state's interprocedural table when one is set.
+func runScan(s *pipeline.State) (*funcIntervals, *scanOutcome, error) {
 	nr := s.Fn.NumRegs()
 	// The segment arena parks on the state between rounds, so spill
 	// rounds reuse the round-0 allocations.
@@ -130,8 +121,7 @@ func runScan(s *pipeline.State, hulls bool, cc *interproc.Table) (*funcIntervals
 		sb = new(segBuilder)
 		s.Scratch = sb
 	}
-	fi := analyze(s.Fn, s.Live, s.FF, s.Config, sb, cc)
-	fi.hullOnly = hulls
+	fi := analyze(s.Fn, s.Live, s.FF, s.Config, sb, s.Interproc)
 	// Recycle the colors backing array across rounds, like the color
 	// pass: only the final round's contents escape into the result.
 	colors := s.Colors
@@ -226,18 +216,13 @@ func kindName(callee bool) string {
 }
 
 // scanPass is the Scan strategy's single allocation pass.
-type scanPass struct {
-	// hulls selects the conservative hull-overlap ablation.
-	hulls bool
-	// cc supplies interprocedural call costs (nil = static estimates).
-	cc *interproc.Table
-}
+type scanPass struct{}
 
 func (scanPass) Name() string                    { return obs.PhaseScan }
 func (scanPass) Preserves() pipeline.AnalysisSet { return pipeline.PreserveAll }
 
-func (p scanPass) Run(s *pipeline.State) error {
-	fi, out, err := runScan(s, p.hulls, p.cc)
+func (scanPass) Run(s *pipeline.State) error {
+	fi, out, err := runScan(s)
 	if err != nil {
 		return err
 	}
@@ -295,17 +280,17 @@ func (h *Hybrid) Allocate(ctx *regalloc.ClassContext) *regalloc.ClassResult {
 }
 
 // BuildPipeline implements regalloc.PipelineBuilder: the standard
-// coloring pipeline of the escalation strategy (honoring the
-// coalescing options), with the scan pass inserted after liveness and
-// every coloring pass gated on State.Escalated. A
-// function whose scan commits cleanly converges without ever running
-// build-graph; one that escalates runs the full coloring sequence in
-// the same round and stays in that tier for all later rounds.
-func (h *Hybrid) BuildPipeline(insertSpills regalloc.SpillInserter, opts regalloc.Options) pipeline.Pipeline {
-	coloring := regalloc.BuildPipeline(h.escalate(), insertSpills, opts)
+// coloring pipeline of the escalation strategy, with the scan pass
+// inserted after liveness and every coloring pass gated on
+// State.Escalated. A function whose scan commits cleanly converges
+// without ever running build-graph; one that escalates runs the full
+// coloring sequence in the same round and stays in that tier for all
+// later rounds.
+func (h *Hybrid) BuildPipeline(insertSpills regalloc.SpillInserter) pipeline.Pipeline {
+	coloring := regalloc.BuildPipeline(h.escalate(), insertSpills)
 	passes := []pipeline.Pass{
 		regalloc.LivenessPass(),
-		hybridScanPass{h: h, cc: opts.Interproc},
+		hybridScanPass{h: h},
 	}
 	for _, p := range coloring.Passes() {
 		switch p.Name() {
@@ -324,10 +309,7 @@ func (h *Hybrid) BuildPipeline(insertSpills regalloc.SpillInserter, opts regallo
 
 // hybridScanPass runs the scan tier at round 0 and decides whether to
 // keep the result or escalate.
-type hybridScanPass struct {
-	h  *Hybrid
-	cc *interproc.Table
-}
+type hybridScanPass struct{ h *Hybrid }
 
 func (hybridScanPass) Name() string                    { return obs.PhaseScan }
 func (hybridScanPass) Preserves() pipeline.AnalysisSet { return pipeline.PreserveAll }
@@ -336,7 +318,7 @@ func (hybridScanPass) Preserves() pipeline.AnalysisSet { return pipeline.Preserv
 func (hybridScanPass) Skip(s *pipeline.State) bool { return s.Escalated }
 
 func (p hybridScanPass) Run(s *pipeline.State) error {
-	fi, out, err := runScan(s, false, p.cc)
+	fi, out, err := runScan(s)
 	reason := ""
 	switch {
 	case err != nil:

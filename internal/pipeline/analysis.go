@@ -17,8 +17,9 @@
 // coalesce, liverange, color, spill-rewrite) live in package regalloc,
 // which depends on this package; the framework guarantees — identical
 // output at any worker count, shared artifacts never written, phase
-// events in program order — are unchanged from the pre-pipeline driver
-// and pinned by a differential test against it.
+// events in program order — are unchanged from the pre-pipeline driver.
+// The result digest table, the golden JSONL traces and the
+// parallel-vs-sequential differential pin them.
 package pipeline
 
 import "strings"

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/freq"
 	"repro/internal/interference"
+	"repro/internal/interproc"
 	"repro/internal/ir"
 	"repro/internal/liveness"
 	"repro/internal/liverange"
@@ -31,6 +32,12 @@ type State struct {
 	Round int
 	// Tracer receives decision events; nil disables tracing.
 	Tracer obs.Tracer
+	// Interproc, when non-nil, is the whole-program interprocedural
+	// summary table of the run: the cost passes read it here at run
+	// time, so every pipeline — the default or one a caller derived —
+	// charges call sites by the callees' published clobber summaries.
+	// Nil keeps the paper's static call-site estimate.
+	Interproc *interproc.Table
 	// Ctx, when non-nil, carries the deadline/cancellation of the
 	// request this allocation serves. The runner polls it between
 	// passes and abandons the run with ctx.Err() once it is done; nil

@@ -3,7 +3,6 @@ package regalloc
 import (
 	"fmt"
 
-	"repro/internal/interproc"
 	"repro/internal/ir"
 	"repro/internal/liverange"
 	"repro/internal/machine"
@@ -145,23 +144,24 @@ func (p coalescePass) Run(s *pipeline.State) error {
 // RangesCostPass runs the live-range cost/benefit analysis over this
 // round's working graphs. When the round is served from the shared
 // round-0 artifacts the analysis comes from the shared per-frequency
-// cache as well. A non-nil interprocedural summary table cc replaces
-// the paper's static call-site caller-save estimate with the callees'
-// published clobber summaries, and bypasses that shared cache — the
-// cached analysis was computed with static costs, and summary tables
-// are per-batch-run state that must not leak between programs.
-func RangesCostPass(cc *interproc.Table) pipeline.Pass { return rangesPass{cc: cc} }
+// cache as well. The run's interprocedural summary table
+// (State.Interproc), when set, replaces the paper's static call-site
+// caller-save estimate with the callees' published clobber summaries,
+// and bypasses that shared cache — the cached analysis was computed
+// with static costs, and summary tables are per-batch-run state that
+// must not leak between programs.
+func RangesCostPass() pipeline.Pass { return rangesPass{} }
 
-type rangesPass struct{ cc *interproc.Table }
+type rangesPass struct{}
 
 func (rangesPass) Name() string                    { return obs.PhaseRanges }
 func (rangesPass) Preserves() pipeline.AnalysisSet { return pipeline.PreserveAll }
 
-func (p rangesPass) Run(s *pipeline.State) error {
-	if s.SharedRound0 && p.cc == nil {
+func (rangesPass) Run(s *pipeline.State) error {
+	if s.SharedRound0 && s.Interproc == nil {
 		s.Ranges = s.AM.CachedRanges(s.FF)
 	} else {
-		s.Ranges = liverange.AnalyzeCosts(s.AM.BlockMap(), s.Fn, s.Live, s.WorkGraphs(), s.FF, s.IsNoSpill, p.cc)
+		s.Ranges = liverange.AnalyzeCosts(s.AM.BlockMap(), s.Fn, s.Live, s.WorkGraphs(), s.FF, s.IsNoSpill, s.Interproc)
 	}
 	s.AM.MarkValid(pipeline.AnalysisLiveRanges)
 	return nil
@@ -266,24 +266,26 @@ func (p spillRewritePass) Run(s *pipeline.State) error {
 // driver that leaves Options.Pipeline nil — consults it before
 // assembling the default.
 type PipelineBuilder interface {
-	BuildPipeline(insertSpills SpillInserter, opts Options) pipeline.Pipeline
+	BuildPipeline(insertSpills SpillInserter) pipeline.Pipeline
 }
 
-// BuildPipeline assembles the default allocation pipeline for strat
-// under opts, coalescing aggressively. A strategy implementing
-// PipelineBuilder supplies its own pipeline instead. Callers wanting a
-// non-standard pipeline (another coalescing mode, none at all) derive
-// one from this with Replace and Drop (or assemble their own) and set
-// Options.Pipeline.
-func BuildPipeline(strat Strategy, insertSpills SpillInserter, opts Options) pipeline.Pipeline {
+// BuildPipeline assembles the default allocation pipeline for strat,
+// coalescing aggressively. A strategy implementing PipelineBuilder
+// supplies its own pipeline instead. Callers wanting a non-standard
+// pipeline (another coalescing mode, none at all) derive one from this
+// with Replace and Drop (or assemble their own) and set
+// Options.Pipeline. No pass captures per-run settings: the passes read
+// them from the pipeline.State AllocatePrepared fills, so one pipeline
+// value serves every run.
+func BuildPipeline(strat Strategy, insertSpills SpillInserter) pipeline.Pipeline {
 	if pb, ok := strat.(PipelineBuilder); ok {
-		return pb.BuildPipeline(insertSpills, opts)
+		return pb.BuildPipeline(insertSpills)
 	}
 	return pipeline.New(
 		LivenessPass(),
 		BuildGraphPass(),
 		CoalescePass(AggressiveCoalesce),
-		RangesCostPass(opts.Interproc),
+		RangesCostPass(),
 		ColorPass(strat),
 		SpillRewritePass(insertSpills),
 	)

@@ -57,7 +57,7 @@ func TestNoCoalesceBaseGraphsStayFrozen(t *testing.T) {
 	prep := regalloc.Prepare(fn)
 	strat := &regalloc.Chaitin{}
 	opts := regalloc.DefaultOptions()
-	dropped := regalloc.BuildPipeline(strat, rewrite.InsertSpills, opts).Drop(obs.PhaseCoalesce)
+	dropped := regalloc.BuildPipeline(strat, rewrite.InsertSpills).Drop(obs.PhaseCoalesce)
 	opts.Pipeline = &dropped
 
 	config := machine.NewConfig(6, 4, 0, 0)
@@ -106,7 +106,7 @@ func TestAllocatePreparedMatchesAllocateFunc(t *testing.T) {
 			for _, strat := range []regalloc.Strategy{&regalloc.Chaitin{}, &regalloc.Chaitin{Optimistic: true}} {
 				opts := regalloc.DefaultOptions()
 				if mode.edit != nil {
-					p := mode.edit(regalloc.BuildPipeline(strat, rewrite.InsertSpills, opts))
+					p := mode.edit(regalloc.BuildPipeline(strat, rewrite.InsertSpills))
 					opts.Pipeline = &p
 				}
 				want, err := regalloc.AllocateFunc(fn, ff, config, strat, rewrite.InsertSpills, opts)

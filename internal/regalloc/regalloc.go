@@ -447,9 +447,6 @@ type SimplifyOptions struct {
 	// Optimistic pushes would-be spills onto the stack ("optimistic
 	// coloring", Briggs) instead of spilling immediately.
 	Optimistic bool
-	// SpillCost overrides the numerator of the spill heuristic
-	// cost/degree. Nil uses the live range's SpillCost.
-	SpillCost func(rep ir.Reg) float64
 	// Heuristic selects the blocked-spill choice rule.
 	Heuristic SpillHeuristic
 }
@@ -470,14 +467,11 @@ func (s *Simplifier) Run(opts SimplifyOptions) (*ColorStack, []ir.Reg) {
 	var spilled []ir.Reg
 	remaining := len(s.nodes)
 
-	spillCostOf := opts.SpillCost
-	if spillCostOf == nil {
-		spillCostOf = func(rep ir.Reg) float64 {
-			if rg := s.ctx.RangeOf(rep); rg != nil {
-				return rg.SpillCost
-			}
-			return 0
+	spillCostOf := func(rep ir.Reg) float64 {
+		if rg := s.ctx.RangeOf(rep); rg != nil {
+			return rg.SpillCost
 		}
+		return 0
 	}
 	keyOf := func(r ir.Reg) float64 {
 		if opts.Key != nil {
@@ -723,9 +717,12 @@ type Options struct {
 	// keeps the paper's intraprocedural model exactly. Set by the
 	// whole-program batch driver; a non-nil table bypasses the shared
 	// round-0 range cache (the cached analysis assumes static costs).
+	// AllocatePrepared hands it to the passes through
+	// pipeline.State.Interproc, so it applies to an overriding Pipeline
+	// as well.
 	Interproc *interproc.Table
 	// Pipeline overrides the pass pipeline. Nil — the default — runs
-	// BuildPipeline(strat, insertSpills, opts), i.e. the standard
+	// BuildPipeline(strat, insertSpills), i.e. the standard
 	// liveness → build-graph → coalesce → liverange → color →
 	// spill-rewrite sequence with aggressive coalescing. Ablations set
 	// a derived pipeline here: Replace the coalesce pass with
@@ -798,18 +795,20 @@ func AllocateFunc(fn *ir.Func, ff *freq.FuncFreq, config machine.Config, strat S
 // fresh function.
 //
 // The allocation itself is a pass pipeline (package pipeline): by
-// default the one BuildPipeline assembles from opts, or the pipeline
-// opts.Pipeline overrides it with. The runner emits the per-pass phase
-// events; a run that exhausts the round budget returns an error
-// wrapping pipeline.ErrRoundLimit.
+// default the one BuildPipeline assembles for strat, or the pipeline
+// opts.Pipeline overrides it with. Either way the passes read the
+// interprocedural table and the context from the run's State. The
+// runner emits the per-pass phase events; a run that exhausts the
+// round budget returns an error wrapping pipeline.ErrRoundLimit.
 func AllocatePrepared(prep *pipeline.FuncCache, ff *freq.FuncFreq, config machine.Config, strat Strategy, insertSpills SpillInserter, opts Options) (*FuncAlloc, error) {
 	pl := opts.Pipeline
 	if pl == nil {
-		def := BuildPipeline(strat, insertSpills, opts)
+		def := BuildPipeline(strat, insertSpills)
 		pl = &def
 	}
 	s := pipeline.NewState(prep, ff, config, opts.Tracer)
 	s.Ctx = opts.Ctx
+	s.Interproc = opts.Interproc
 	runner := &pipeline.Runner{Passes: pl.Passes(), MaxRounds: opts.MaxRounds}
 	rounds, err := runner.Run(s)
 	if err != nil {

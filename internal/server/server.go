@@ -77,7 +77,9 @@ type Request struct {
 	// field carries the full JSONL decision stream. Traced requests
 	// run sequentially and bypass the cache. Also enabled by ?trace=1.
 	Trace bool `json:"trace,omitempty"`
-	// TimeoutMs overrides the server's per-request deadline.
+	// TimeoutMs sets this request's deadline. It may shorten the
+	// server's per-request deadline (Options.Timeout) but never extends
+	// it; with no server deadline it is the only one.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 
@@ -339,11 +341,15 @@ func (s *Server) runBatch(ctx context.Context, reqs []Request) []BatchItem {
 	return items
 }
 
-// requestContext applies the per-request deadline: the request
-// override when given, else the server default, else none.
+// requestContext applies the per-request deadline: the shorter of the
+// server default and the request's timeoutMs when both are set, else
+// whichever is set, else none. A client can tighten the server's
+// deadline but never hold a worker past it.
 func (s *Server) requestContext(parent context.Context, timeoutMs int) (context.Context, context.CancelFunc) {
 	timeout := s.timeout
-	if timeoutMs > 0 {
+	// Compared in milliseconds, so a huge timeoutMs cannot overflow
+	// into a negative duration that would remove the deadline.
+	if timeoutMs > 0 && (timeout <= 0 || int64(timeoutMs) < timeout.Milliseconds()) {
 		timeout = time.Duration(timeoutMs) * time.Millisecond
 	}
 	if timeout > 0 {

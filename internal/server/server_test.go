@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -314,6 +315,39 @@ func TestRequestDeadline(t *testing.T) {
 			fmt.Sprintf("int pad%d(int x) { return x + %d; }\nint main", attempt+1, attempt), 1)
 	}
 	t.Skip("allocation always beat the 1ms deadline; cannot exercise 504 on this machine")
+}
+
+// TestRequestTimeoutOnlyShortens: a request's timeoutMs may shorten
+// the server's deadline but never extend or remove it.
+func TestRequestTimeoutOnlyShortens(t *testing.T) {
+	for _, tc := range []struct {
+		server    time.Duration
+		timeoutMs int
+		want      time.Duration // 0: no deadline
+	}{
+		{0, 0, 0},
+		{0, 50, 50 * time.Millisecond},
+		{2 * time.Second, 0, 2 * time.Second},
+		{2 * time.Second, 50, 50 * time.Millisecond},
+		{2 * time.Second, 86400000, 2 * time.Second},
+		{2 * time.Second, math.MaxInt, 2 * time.Second},
+	} {
+		s := &Server{timeout: tc.server}
+		start := time.Now()
+		ctx, cancel := s.requestContext(context.Background(), tc.timeoutMs)
+		dl, ok := ctx.Deadline()
+		cancel()
+		if tc.want == 0 {
+			if ok {
+				t.Errorf("server %v, timeoutMs %d: deadline set, want none", tc.server, tc.timeoutMs)
+			}
+			continue
+		}
+		if got := dl.Sub(start); !ok || got < tc.want || got > tc.want+time.Second {
+			t.Errorf("server %v, timeoutMs %d: deadline in %v (set %v), want %v",
+				tc.server, tc.timeoutMs, got, ok, tc.want)
+		}
+	}
 }
 
 // TestBatchEndpoint checks per-item status and the cache accounting of

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/benchprog"
 	"repro/internal/ir"
 	"repro/internal/randprog"
 )
@@ -31,10 +32,10 @@ func comparePlans(t *testing.T, tag string, want, got *callcost.Allocation) {
 	for name, pw := range want.Plans {
 		pg := got.Plans[name]
 		if pg == nil {
-			t.Fatalf("%s: %s missing from parallel run", tag, name)
+			t.Fatalf("%s: %s missing from the second allocation", tag, name)
 		}
 		if !reflect.DeepEqual(pw.Alloc.Colors, pg.Alloc.Colors) {
-			t.Fatalf("%s: %s colors diverge between sequential and parallel", tag, name)
+			t.Fatalf("%s: %s colors diverge", tag, name)
 		}
 		if !reflect.DeepEqual(slotNameMap(pw.Alloc.SlotOf), slotNameMap(pg.Alloc.SlotOf)) {
 			t.Fatalf("%s: %s spill slots diverge", tag, name)
@@ -47,37 +48,52 @@ func comparePlans(t *testing.T, tag string, want, got *callcost.Allocation) {
 		}
 	}
 	if wa, ga := want.Assembly(), got.Assembly(); wa != ga {
-		t.Fatalf("%s: assembly output diverges between sequential and parallel", tag)
+		t.Fatalf("%s: assembly output diverges", tag)
 	}
 }
 
 // TestParallelAllocationMatchesSequential is the determinism contract
-// of per-function parallel allocation: across the fuzz corpus, a
-// parallel Allocate (worker pool, shared prep cache) must be
-// byte-identical — colors, spill slots, rounds, assembly — to the
-// sequential path with the prep cache disabled. Run under -race this
-// also proves the shared prepared artifacts are never written.
+// of per-function parallel allocation: across the fuzz corpus and every
+// benchmark program, for all four strategy families, a parallel
+// Allocate (worker pool, shared prep cache) must be byte-identical —
+// colors, spill slots, rounds, assembly — to the sequential path with
+// the prep cache disabled, first with the cache cold and again warm.
+// Run under -race this also proves the shared prepared artifacts are
+// never written; the warm rerun catches a strategy that writes them
+// anyway.
 func TestParallelAllocationMatchesSequential(t *testing.T) {
 	configs := []callcost.Config{
 		callcost.NewConfig(6, 4, 0, 0),
 		callcost.NewConfig(8, 6, 4, 4),
 	}
-	strategies := []callcost.Strategy{callcost.Chaitin(), callcost.ImprovedAll()}
+	strategies := []callcost.Strategy{
+		callcost.Chaitin(),
+		callcost.ImprovedAll(),
+		callcost.Priority(callcost.PrioritySorting),
+		callcost.CBH(),
+	}
+	type source struct{ name, src string }
+	var sources []source
 	for seed := int64(0); seed < 10; seed++ {
-		src := randprog.Generate(seed, randprog.DefaultOptions())
-		seqProg, err := callcost.Compile(src)
+		sources = append(sources, source{fmt.Sprintf("seed %d", seed), randprog.Generate(seed, randprog.DefaultOptions())})
+	}
+	for _, bp := range benchprog.All() {
+		sources = append(sources, source{bp.Name, bp.Source})
+	}
+	for _, s := range sources {
+		seqProg, err := callcost.Compile(s.src)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		parProg, err := callcost.Compile(src)
+		parProg, err := callcost.Compile(s.src)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
 		pfSeq := seqProg.StaticFreq()
 		pfPar := parProg.StaticFreq()
 		for _, strat := range strategies {
 			for _, config := range configs {
-				tag := fmt.Sprintf("seed %d %s at %s", seed, strat.Name(), config)
+				tag := fmt.Sprintf("%s %s at %s", s.name, strat.Name(), config)
 				seqOpts := callcost.DefaultAllocOptions()
 				seqOpts.Parallel = 1
 				seqOpts.NoPrepCache = true
