@@ -48,7 +48,7 @@ func main() {
 		listen  = flag.String("listen", "127.0.0.1:8421", "serve address")
 		workers = flag.Int("workers", 0, "allocation workers (0 = GOMAXPROCS)")
 		queue   = flag.Int("queue", 64, "admission queue size beyond running workers (full queue sheds with 429)")
-		cacheN  = flag.Int("cache", 0, "result cache entries (0 = default)")
+		cacheN  = flag.Int("cache", 0, "result cache and program memo entries, each (0 = default)")
 		timeout = flag.Duration("timeout", 0, "per-request deadline (0 = none)")
 
 		loadgen     = flag.Bool("loadgen", false, "run the load generator instead of serving")

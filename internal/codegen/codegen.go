@@ -26,6 +26,7 @@ package codegen
 import (
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -34,36 +35,88 @@ import (
 
 // Program emits assembly for every function of prog under plans (as
 // produced by one Allocation), preceded by a data section for the
-// globals. The text is appended into one buffer; register names come
-// from a table built once per call through RegName.
+// globals. The text is appended into one buffer, and it is exactly
+// Join(Data(prog), the Function texts of plans in sorted-name order):
+// Data, Function and Program share one emitter, which keeps no state
+// from one function to the next beyond its register-name table.
 func Program(prog *ir.Program, plans map[string]*rewrite.FuncPlan, config machine.Config) string {
 	names := make([]string, 0, len(plans))
 	instrs := 0
 	for name, plan := range plans {
 		names = append(names, name)
-		for _, blk := range plan.Alloc.Fn.Blocks {
-			instrs += len(blk.Instrs)
-		}
+		instrs += countInstrs(plan)
 	}
 	sort.Strings(names)
-	// About 25-30 bytes of text per IR instruction.
-	e := &emitter{config: config, buf: make([]byte, 0, 64*len(prog.Globals)+32*instrs+1024)}
+	e := newEmitter(config, 64*len(prog.Globals)+32*instrs+1024)
+	e.data(prog)
+	e.str(textHeader)
+	for _, name := range names {
+		e.function(plans[name])
+	}
+	return string(e.buf)
+}
+
+// Data emits the data section of prog: its globals.
+func Data(prog *ir.Program) string {
+	e := newEmitter(machine.Config{}, 64*len(prog.Globals)+16)
+	e.data(prog)
+	return string(e.buf)
+}
+
+// Function emits one allocated function under config, with the blank
+// line that ends it in a program text.
+func Function(plan *rewrite.FuncPlan, config machine.Config) string {
+	e := newEmitter(config, 32*countInstrs(plan)+128)
+	e.function(plan)
+	return string(e.buf)
+}
+
+// Join assembles a program text from its data section and the texts of
+// its functions in sorted-name order, as Program lays them out.
+func Join(data string, funcs []string) string {
+	n := len(data) + len(textHeader)
+	for _, f := range funcs {
+		n += len(f)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(data)
+	b.WriteString(textHeader)
+	for _, f := range funcs {
+		b.WriteString(f)
+	}
+	return b.String()
+}
+
+// textHeader separates the data section from the functions.
+const textHeader = "\n\t.text\n"
+
+// countInstrs counts the instructions of plan's rewritten body, to size
+// the text buffer: about 25-30 bytes of text per IR instruction.
+func countInstrs(plan *rewrite.FuncPlan) int {
+	n := 0
+	for _, blk := range plan.Alloc.Fn.Blocks {
+		n += len(blk.Instrs)
+	}
+	return n
+}
+
+// newEmitter returns an emitter for config with a text buffer of the
+// given capacity.
+func newEmitter(config machine.Config, capacity int) *emitter {
+	e := &emitter{config: config, buf: make([]byte, 0, capacity)}
 	for c := ir.Class(0); c < ir.NumClasses; c++ {
 		e.regNames[c] = make([]string, config.Total(c)+1)
-		for i := range e.regNames[c] {
-			e.regNames[c][i] = RegName(config, c, machine.PhysReg(i-1))
-		}
 	}
+	return e
+}
+
+// data appends the data section.
+func (e *emitter) data(prog *ir.Program) {
 	e.str("\t.data\n")
 	for _, g := range prog.Globals {
 		e.global(g)
 	}
-	e.str("\n\t.text\n")
-	for _, name := range names {
-		e.function(plans[name])
-		e.str("\n")
-	}
-	return string(e.buf)
 }
 
 func (e *emitter) global(g *ir.Symbol) {
@@ -133,12 +186,12 @@ func layoutFrame(plan *rewrite.FuncPlan) *frame {
 	return f
 }
 
-// emitter appends the assembly of one Program call into buf.
+// emitter appends assembly text into buf.
 type emitter struct {
 	buf    []byte
 	config machine.Config
-	// regNames[c][pr+1] names register pr of bank c; index 0 is
-	// NoPhysReg.
+	// regNames[c][pr+1] names register pr of bank c once it has been
+	// named; index 0 is NoPhysReg.
 	regNames [ir.NumClasses][]string
 
 	// The function being emitted.
@@ -202,12 +255,17 @@ func (e *emitter) label(id int) *emitter {
 	return e.str(".L", e.fn.Name, "_").num(id)
 }
 
-// name returns the name of physical register pr of bank c.
+// name returns the name of physical register pr of bank c, building it
+// on first use.
 func (e *emitter) name(c ir.Class, pr machine.PhysReg) string {
-	if i := int(pr) + 1; i >= 0 && i < len(e.regNames[c]) {
-		return e.regNames[c][i]
+	i := int(pr) + 1
+	if i < 0 || i >= len(e.regNames[c]) {
+		return RegName(e.config, c, pr)
 	}
-	return RegName(e.config, c, pr)
+	if e.regNames[c][i] == "" {
+		e.regNames[c][i] = RegName(e.config, c, pr)
+	}
+	return e.regNames[c][i]
 }
 
 func (e *emitter) reg(r ir.Reg) string {
@@ -226,7 +284,7 @@ func (e *emitter) stack(ops [ir.NumClasses]string, regs *[ir.NumClasses][]machin
 	}
 }
 
-// function appends one function.
+// function appends one function and the blank line that ends it.
 func (e *emitter) function(plan *rewrite.FuncPlan) {
 	e.plan, e.fn, e.frame = plan, plan.Alloc.Fn, layoutFrame(plan)
 	fn := e.fn
@@ -257,6 +315,7 @@ func (e *emitter) function(plan *rewrite.FuncPlan) {
 			e.instr(blk, i, &blk.Instrs[i])
 		}
 	}
+	e.str("\n")
 }
 
 func (e *emitter) epilogue() {

@@ -12,7 +12,9 @@
 //
 // The representation is Chaitin's dual one: a triangular bit matrix
 // answers Interfere in O(1), and per-node adjacency vectors drive
-// iteration. Adjacency vectors are append-only; an entry goes stale
+// iteration. The matrix is indexed by a dense numbering of the
+// registers that occur in the bank, so its size does not grow with
+// registers a function declares but never uses. Adjacency vectors are append-only; an entry goes stale
 // when its node is merged away by coalescing, and iteration skips (and
 // compacts) stale entries by checking that the entry is still a
 // union-find representative whose edge bit is set.
@@ -42,7 +44,12 @@ type Graph struct {
 	next   []ir.Reg   // circular member list per union-find class
 	adj    [][]ir.Reg // adjacency vectors; may hold stale entries
 	deg    []int32    // live distinct-neighbor count per representative
+	// matrix holds the edges over dense positions: pos[r] is r's index
+	// among the registers of this bank that occur in the code, -1 for
+	// one that does not. pos is filled by Build's first pass and never
+	// changes after, so snapshots and clones share it.
 	matrix *bitset.Triangular
+	pos    []int32
 	occurs []bool   // vreg appears in the code (def, use, or live param)
 	nodes  []ir.Reg // every reg of this bank that ever occurred
 	listed []bool   // reg already appended to nodes
@@ -65,7 +72,7 @@ type Graph struct {
 	TraceMerge func(kept, gone ir.Reg)
 }
 
-// newGraph returns an empty graph over n registers.
+// newGraph returns an empty graph over n registers, with no matrix yet.
 func newGraph(fn *ir.Func, class ir.Class, n int) *Graph {
 	g := &Graph{
 		Fn:     fn,
@@ -74,7 +81,6 @@ func newGraph(fn *ir.Func, class ir.Class, n int) *Graph {
 		next:   make([]ir.Reg, n),
 		adj:    make([][]ir.Reg, n),
 		deg:    make([]int32, n),
-		matrix: bitset.NewTriangular(n),
 		occurs: make([]bool, n),
 		listed: make([]bool, n),
 	}
@@ -117,6 +123,16 @@ func Build(fn *ir.Func, live *liveness.Info, class ir.Class) *Graph {
 			}
 		}
 	}
+	// The matrix is sized by the registers that occur, not by every
+	// declared register of both banks.
+	g.pos = make([]int32, len(g.parent))
+	for i := range g.pos {
+		g.pos[i] = -1
+	}
+	for i, r := range g.nodes {
+		g.pos[r] = int32(i)
+	}
+	g.matrix = bitset.NewTriangular(len(g.nodes))
 
 	for _, b := range fn.Blocks {
 		live.WalkBlock(b, func(in *ir.Instr, after *bitset.Set) {
@@ -163,11 +179,11 @@ func Build(fn *ir.Func, live *liveness.Info, class ir.Class) *Graph {
 // or freshly built original registers). O(1): one matrix test, two
 // vector appends, two degree bumps.
 func (g *Graph) addEdge(a, b ir.Reg) {
-	if a == b || g.matrix.Has(int(a), int(b)) {
+	if a == b || g.edge(a, b) {
 		return
 	}
 	g.privatize()
-	g.matrix.Set(int(a), int(b))
+	g.setEdge(a, b, true)
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	g.deg[a]++
@@ -197,7 +213,23 @@ func (g *Graph) Interfere(a, b ir.Reg) bool {
 	if ra == rb {
 		return false
 	}
-	return g.matrix.Has(int(ra), int(rb))
+	return g.edge(ra, rb)
+}
+
+// edge reports whether the matrix holds the edge a–b. A register that
+// does not occur in this bank has no edges.
+func (g *Graph) edge(a, b ir.Reg) bool {
+	i, j := g.pos[a], g.pos[b]
+	return i >= 0 && j >= 0 && g.matrix.Has(int(i), int(j))
+}
+
+// setEdge sets or clears the edge a–b; both must occur in this bank.
+func (g *Graph) setEdge(a, b ir.Reg, on bool) {
+	if on {
+		g.matrix.Set(int(g.pos[a]), int(g.pos[b]))
+	} else {
+		g.matrix.Unset(int(g.pos[a]), int(g.pos[b]))
+	}
 }
 
 // alive reports whether an adjacency entry x of representative rep is
@@ -205,7 +237,7 @@ func (g *Graph) Interfere(a, b ir.Reg) bool {
 // must still be set (merged-away nodes stop being representatives, and
 // a union of interfering ranges clears the bit between them).
 func (g *Graph) alive(rep, x ir.Reg) bool {
-	return g.parent[x] == x && g.matrix.Has(int(rep), int(x))
+	return g.parent[x] == x && g.edge(rep, x)
 }
 
 // Union merges the live range of b into that of a (both are resolved to
@@ -228,21 +260,21 @@ func (g *Graph) Union(a, b ir.Reg) ir.Reg {
 		g.setOccurs(ra)
 	}
 	for _, n := range g.adj[rb] {
-		if g.parent[n] != n || !g.matrix.Has(int(rb), int(n)) {
+		if g.parent[n] != n || !g.edge(rb, n) {
 			continue // stale entry
 		}
 		if n == ra {
 			// The (buggy-caller) case of uniting interfering ranges:
 			// the ra–rb edge disappears into the merged node.
-			g.matrix.Unset(int(ra), int(rb))
+			g.setEdge(ra, rb, false)
 			g.deg[ra]--
 			continue
 		}
-		if g.matrix.Has(int(ra), int(n)) {
+		if g.edge(ra, n) {
 			// n was adjacent to both; it loses one distinct neighbor.
 			g.deg[n]--
 		} else {
-			g.matrix.Set(int(ra), int(n))
+			g.setEdge(ra, n, true)
 			g.adj[ra] = append(g.adj[ra], n)
 			g.adj[n] = append(g.adj[n], ra)
 			g.deg[ra]++
@@ -352,7 +384,7 @@ func (g *Graph) Coalesce(conservative bool, k int) int {
 		changed = false
 		for _, mv := range moves {
 			d, s := g.Find(mv.dst), g.Find(mv.src)
-			if d == s || g.matrix.Has(int(d), int(s)) {
+			if d == s || g.edge(d, s) {
 				continue
 			}
 			if conservative && !g.briggsOK(d, s, k) {
@@ -391,7 +423,7 @@ func (g *Graph) briggsOK(a, b ir.Reg, k int) bool {
 			deg := int(g.deg[n])
 			// If n neighbors both a and b, its degree in the merged
 			// graph drops by one.
-			if g.matrix.Has(int(a), int(n)) && g.matrix.Has(int(b), int(n)) {
+			if g.edge(a, n) && g.edge(b, n) {
 				deg--
 			}
 			if deg >= k {
@@ -415,6 +447,7 @@ func (g *Graph) Clone() *Graph {
 		adj:    make([][]ir.Reg, len(g.adj)),
 		deg:    append([]int32(nil), g.deg...),
 		matrix: g.matrix.Clone(),
+		pos:    g.pos,
 		occurs: append([]bool(nil), g.occurs...),
 		nodes:  append([]ir.Reg(nil), g.nodes...),
 		listed: append([]bool(nil), g.listed...),

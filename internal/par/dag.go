@@ -33,7 +33,8 @@ type DAGStats struct {
 // ErrDAGCycle without running anything otherwise.
 //
 // workers <= 0 selects GOMAXPROCS; workers == 1 executes ready tasks
-// one at a time on one goroutine. The error of the lowest-indexed
+// one at a time on one goroutine. A task that panics fails with a
+// *PanicError, at any worker count. The error of the lowest-indexed
 // failing task is returned. After a failure no higher-indexed task
 // starts, no task whose dependency failed or was skipped starts, and
 // once ctx is done nothing starts at all; skipped tasks are still
@@ -148,7 +149,7 @@ func RunDAG(ctx context.Context, deps [][]int, workers int, f func(i int) error)
 						b.ParQueueDepth.Set(int64(queued))
 						b.ParBusyWorkers.Add(1)
 					}
-					errs[i] = f(i)
+					errs[i] = runTask(f, i)
 					if b != nil {
 						b.ParBusyWorkers.Add(-1)
 					}
@@ -186,6 +187,12 @@ func RunDAG(ctx context.Context, deps [][]int, workers int, f func(i int) error)
 		}
 	}
 	return stats, ctx.Err()
+}
+
+// runTask runs f(i), recovering a panic into a *PanicError.
+func runTask(f func(i int) error, i int) (err error) {
+	defer recoverInto(&err)
+	return f(i)
 }
 
 // errSkipped marks a task RunDAG released without running.

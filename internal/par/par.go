@@ -8,11 +8,39 @@ package par
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/telemetry"
 )
+
+// PanicError is a task's panic, recovered on the goroutine that ran it
+// and returned as the task's error: one allocation that panics fails
+// its own request or loop instead of ending the process.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("par: task panicked: %v\n%s", e.Value, e.Stack)
+}
+
+// Catch runs f and returns its error, or a *PanicError if f panics.
+func Catch(f func() error) (err error) {
+	defer recoverInto(&err)
+	return f()
+}
+
+// recoverInto, deferred, turns a panic of the deferring call into a
+// *PanicError stored in *err.
+func recoverInto(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+	}
+}
 
 // ForEachIndexed runs f(0)..f(n-1) on a bounded worker pool and returns
 // the error of the lowest-indexed failing call, or nil. It is RunDAG
@@ -47,7 +75,9 @@ var ErrPoolClosed = errors.New("par: pool closed")
 // worker is busy and the queue is full, Submit fails fast with
 // ErrQueueFull (backpressure) instead of queueing unboundedly.
 // Drain stops admission and waits for queued and running tasks to
-// finish — the daemon's graceful-shutdown path.
+// finish — the daemon's graceful-shutdown path. A task that panics
+// never takes its worker down: Do returns the panic as a *PanicError,
+// and a Submit or Assist task's panic is recovered and dropped.
 type Pool struct {
 	queue chan task
 	// assist is the unbuffered side door of Assist: a send succeeds
@@ -69,6 +99,9 @@ type Pool struct {
 type task struct {
 	ctx context.Context
 	run func(ctx context.Context)
+	// done, when non-nil, receives the task's panic (nil if it
+	// returned) or the context error of a task that never started.
+	done chan error
 }
 
 // NewPool starts a pool of workers goroutines with an admission queue
@@ -107,12 +140,36 @@ func NewPool(workers, queueSize int) *Pool {
 // exec runs one task on the calling worker goroutine.
 func (p *Pool) exec(t task) {
 	// A task whose request died while queued is not worth starting.
-	if t.ctx.Err() != nil {
-		return
+	err := t.ctx.Err()
+	if err == nil {
+		p.Busy.Add(1)
+		err = Catch(func() error { t.run(t.ctx); return nil })
+		p.Busy.Add(-1)
 	}
-	p.Busy.Add(1)
-	t.run(t.ctx)
-	p.Busy.Add(-1)
+	if t.done != nil {
+		t.done <- err
+	}
+}
+
+// Do admits run like Submit and waits until it has finished or ctx is
+// done. It returns Submit's refusal, run's error, a *PanicError if run
+// panicked, or ctx.Err() when the context ends first; in that last
+// case run may still be executing.
+func (p *Pool) Do(ctx context.Context, run func(ctx context.Context) error) error {
+	var err error
+	done := make(chan error, 1)
+	if serr := p.submit(task{ctx: ctx, run: func(ctx context.Context) { err = run(ctx) }, done: done}); serr != nil {
+		return serr
+	}
+	select {
+	case perr := <-done:
+		if perr != nil {
+			return perr
+		}
+		return err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Submit offers run to the pool. It returns nil when the task was
@@ -121,13 +178,17 @@ func (p *Pool) exec(t task) {
 // and ErrPoolClosed after Drain began. Submit never blocks on a full
 // queue — that is the backpressure contract.
 func (p *Pool) Submit(ctx context.Context, run func(ctx context.Context)) error {
+	return p.submit(task{ctx: ctx, run: run})
+}
+
+func (p *Pool) submit(t task) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrPoolClosed
 	}
 	select {
-	case p.queue <- task{ctx: ctx, run: run}:
+	case p.queue <- t:
 		p.QueueDepth.Add(1)
 		return nil
 	default:

@@ -144,3 +144,36 @@ func TestPoolAssist(t *testing.T) {
 		t.Fatal("Assist accepted work after Drain")
 	}
 }
+
+// TestPanicsBecomeErrors: a task that panics fails with a *PanicError
+// carrying its stack, at every worker count, and the Pool keeps
+// serving after one of its tasks panicked.
+func TestPanicsBecomeErrors(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		err := ForEachIndexed(8, workers, func(i int) error {
+			if i == 5 {
+				panic("boom")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom" || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError with a stack", workers, err)
+		}
+	}
+
+	p := NewPool(1, 4)
+	defer p.Drain()
+	err := p.Do(context.Background(), func(context.Context) error { panic("boom") })
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Do: err = %v, want a *PanicError", err)
+	}
+	if err := p.Submit(context.Background(), func(context.Context) { panic("dropped") }); err != nil {
+		t.Fatal(err)
+	}
+	want := errors.New("after")
+	if err := p.Do(context.Background(), func(context.Context) error { return want }); err != want {
+		t.Fatalf("Do after panics: err = %v, want %v", err, want)
+	}
+}

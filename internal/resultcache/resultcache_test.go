@@ -1,16 +1,19 @@
 package resultcache
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/benchprog"
 	"repro/internal/compile"
 	"repro/internal/freq"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/rewrite"
 	"repro/internal/telemetry"
 )
@@ -385,5 +388,111 @@ func TestFailedComputeNotCachedAndRetried(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (only the successful compute cached)", c.Len())
+	}
+}
+
+// waitForFollowers blocks until n callers wait on key's in-flight
+// compute.
+func waitForFollowers(c *Cache, key Key, n int) {
+	for {
+		c.mu.Lock()
+		cl := c.inflight[key]
+		w := cl != nil && cl.waiters >= n
+		c.mu.Unlock()
+		if w {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPanickingComputeReleasesFollowers: a compute that panics is not
+// cached, the leader and a follower waiting on it both get the panic
+// as a *par.PanicError (the follower without running a compute of its
+// own), and the next call computes afresh.
+func TestPanickingComputeReleasesFollowers(t *testing.T) {
+	c := New(8)
+	key := Key{9}
+	started, release := make(chan struct{}), make(chan struct{})
+	var leaderErr, followerErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, _, leaderErr = c.Do(key, func() (*rewrite.FuncPlan, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	go func() {
+		defer wg.Done()
+		_, _, followerErr = c.Do(key, func() (*rewrite.FuncPlan, error) {
+			t.Error("follower ran its own compute")
+			return nil, nil
+		})
+	}()
+	waitForFollowers(c, key, 1)
+	close(release)
+	wg.Wait()
+	for who, err := range map[string]error{"leader": leaderErr, "follower": followerErr} {
+		var pe *par.PanicError
+		if !errors.As(err, &pe) || pe.Value != "boom" {
+			t.Errorf("%s: err = %v, want the leader's panic", who, err)
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d, want 0 (a panicked compute is never cached)", c.Len())
+	}
+	if _, hit, err := c.Do(key, func() (*rewrite.FuncPlan, error) { return &rewrite.FuncPlan{}, nil }); err != nil || hit {
+		t.Fatalf("next call: hit=%v err=%v, want a fresh successful compute", hit, err)
+	}
+}
+
+// TestFollowerHonorsItsDeadline: a follower stops waiting when its own
+// context ends, however long the leader's compute takes.
+func TestFollowerHonorsItsDeadline(t *testing.T) {
+	c := New(8)
+	key := Key{10}
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		c.Do(key, func() (*rewrite.FuncPlan, error) {
+			close(started)
+			<-release
+			return &rewrite.FuncPlan{}, nil
+		})
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	_, hit, err := c.DoContext(ctx, key, func() (*rewrite.FuncPlan, error) {
+		t.Error("follower ran its own compute")
+		return nil, nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || hit {
+		t.Fatalf("follower: hit=%v err=%v, want DeadlineExceeded while the leader runs", hit, err)
+	}
+	close(release)
+	<-leaderDone
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want the leader's result cached", c.Len())
+	}
+}
+
+// TestBytesGauge: a cache with a size function reports the bytes of
+// its resident entries, net of refreshes and evictions.
+func TestBytesGauge(t *testing.T) {
+	b := telemetry.Enable(nil)
+	defer telemetry.Disable()
+	c := NewLRU[[]byte](2, ResultMeters, func(v []byte) int64 { return int64(len(v)) })
+	c.Put(Key{1}, make([]byte, 10))
+	c.Put(Key{2}, make([]byte, 20))
+	c.Put(Key{1}, make([]byte, 5))
+	c.Put(Key{3}, make([]byte, 40)) // evicts 2
+	if got := b.Reg.Snapshot().Gauges["result_cache_bytes"]; got != 45 {
+		t.Fatalf("result_cache_bytes = %d, want 45", got)
 	}
 }

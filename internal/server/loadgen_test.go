@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -22,8 +23,8 @@ func TestCorpusDecodesAsRequest(t *testing.T) {
 		if req.Source == "" || req.Strategy == "" || req.Config.RI == 0 {
 			t.Fatalf("body %d decoded incomplete: %+v", i, req)
 		}
-		if _, _, _, err := resolve(&req); err != nil {
-			t.Fatalf("body %d rejected by resolve: %v", i, err)
+		if _, err := resolveAll(context.Background(), &req); err != nil {
+			t.Fatalf("body %d rejected by resolveAll: %v", i, err)
 		}
 	}
 }

@@ -4,13 +4,21 @@
 //
 // The request core is content-addressed: every function of a request
 // is keyed by the hash of its exact allocation inputs (IR, frequency
-// table, machine configuration, strategy, resolved pass pipeline) and
-// served from internal/resultcache when a completed allocation for
-// that key is resident — repeat traffic and shared helpers never
-// re-color. The execution layer is a bounded worker pool
-// (internal/par.Pool): requests are admitted into a bounded queue and
-// shed with 429 when it is full, carry per-request deadlines that the
-// pass pipeline polls, and drain gracefully on shutdown. The edge is
+// table, machine configuration, strategy, resolved pass pipeline), and
+// the cache (internal/resultcache) keeps each allocated function's
+// rendered fragment — its FuncResult, its assembly text and its
+// analytic overhead — so repeat traffic and shared helpers never
+// re-color or re-render. A program memo, keyed by the hash of the
+// request's source or wire-IR bytes and frequency mode, keeps each
+// function's digest and the rendered data section, so an exact repeat
+// also skips the compile, IR decode and frequency estimate. Both are
+// bounded by Options.CacheEntries. The execution layer is a bounded
+// worker pool (internal/par.Pool): requests are admitted into a
+// bounded queue and shed with 429 when it is full, carry per-request
+// deadlines that the pass pipeline and cache followers honor, and
+// drain gracefully on shutdown. A panic inside a request is recovered
+// into a 500 (counted in server_errors_total), never a dead daemon,
+// and a panicking compute is never cached. The edge is
 // plain net/http with deterministic JSON rendering — the same bytes
 // for the same request, no matter which worker, cache state, or
 // daemon instance served it — with the telemetry introspection
@@ -30,9 +38,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -40,13 +50,12 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/codegen"
 	"repro/internal/freq"
-	"repro/internal/interference"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/par"
 	"repro/internal/resultcache"
-	"repro/internal/rewrite"
 	"repro/internal/telemetry"
 )
 
@@ -122,8 +131,8 @@ type Options struct {
 	// QueueSize bounds the admission queue beyond the running workers;
 	// a full queue sheds with 429. < 0 selects 0.
 	QueueSize int
-	// CacheEntries bounds the result cache; <= 0 selects
-	// resultcache.DefaultMaxEntries.
+	// CacheEntries bounds the fragment cache and, separately, the
+	// program memo; <= 0 selects resultcache.DefaultMaxEntries.
 	CacheEntries int
 	// Timeout is the per-request deadline; 0 disables it.
 	Timeout time.Duration
@@ -144,7 +153,8 @@ var LatencyBuckets = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 20
 type Server struct {
 	mux     *http.ServeMux
 	pool    *par.Pool
-	cache   *resultcache.Cache
+	frags   *resultcache.LRU[*fragment]
+	memo    *resultcache.LRU[*memoEntry]
 	spans   *telemetry.SpanRecorder
 	timeout time.Duration
 
@@ -168,7 +178,8 @@ func New(opts Options) *Server {
 	s := &Server{
 		mux:      http.NewServeMux(),
 		pool:     par.NewPool(opts.Workers, opts.QueueSize),
-		cache:    resultcache.New(opts.CacheEntries),
+		frags:    resultcache.NewLRU(opts.CacheEntries, resultcache.ResultMeters, (*fragment).size),
+		memo:     resultcache.NewLRU[*memoEntry](opts.CacheEntries, resultcache.MemoMeters, nil),
 		spans:    opts.Spans,
 		timeout:  opts.Timeout,
 		requests: reg.Counter("server_requests_total"),
@@ -317,7 +328,11 @@ func (s *Server) runBatch(ctx context.Context, reqs []Request) []BatchItem {
 				items[i] = BatchItem{Status: statusOf(cerr), Error: cerr.Error()}
 				continue
 			}
-			resp, rerr := s.run(ctx, &reqs[i])
+			var resp *Response
+			rerr := par.Catch(func() (err error) {
+				resp, err = s.run(ctx, &reqs[i])
+				return err
+			})
 			if rerr != nil {
 				items[i] = BatchItem{Status: statusOf(rerr), Error: rerr.Error()}
 			} else {
@@ -358,28 +373,20 @@ func (s *Server) requestContext(parent context.Context, timeoutMs int) (context.
 	return context.WithCancel(parent)
 }
 
-type dispatchResult struct {
-	v   any
-	err error
-}
-
 // dispatch admits work into the pool and waits for its result or the
 // request's end. A full queue fails fast with par.ErrQueueFull — the
-// backpressure the edge maps to 429.
+// backpressure the edge maps to 429 — and a panic in work comes back
+// as a *par.PanicError, which the edge answers with 500.
 func (s *Server) dispatch(ctx context.Context, work func(ctx context.Context) (any, error)) (any, error) {
-	done := make(chan dispatchResult, 1)
-	if err := s.pool.Submit(ctx, func(ctx context.Context) {
-		v, err := work(ctx)
-		done <- dispatchResult{v, err}
-	}); err != nil {
+	var v any
+	err := s.pool.Do(ctx, func(ctx context.Context) (err error) {
+		v, err = work(ctx)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case res := <-done:
-		return res.v, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return v, nil
 }
 
 // requestError carries an HTTP status with a request-level failure.
@@ -414,19 +421,30 @@ func statusOf(err error) int {
 }
 
 // resolved is a request with every input validated and constructed:
-// the program, configuration, strategy, frequency table, and
-// framework options.
+// the program, its frequency table, and the request's settings.
 type resolved struct {
-	prog   *callcost.Program
-	config machine.Config
-	strat  callcost.Strategy
-	pf     *freq.ProgramFreq
-	opts   callcost.AllocOptions
+	prog *callcost.Program
+	pf   *freq.ProgramFreq
+	settings
+}
+
+// settings are the inputs of a request other than its program: the
+// configuration, the strategy, the framework options, and the pass
+// names the cache key carries.
+type settings struct {
+	config    machine.Config
+	strat     callcost.Strategy
+	opts      callcost.AllocOptions
+	pipeNames []string
 }
 
 // resolveAll validates req and builds every allocation input.
 func resolveAll(ctx context.Context, req *Request) (*resolved, error) {
-	prog, config, strat, err := resolve(req)
+	prog, err := resolveProgram(req)
+	if err != nil {
+		return nil, err
+	}
+	st, err := resolveSettings(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -443,6 +461,45 @@ func resolveAll(ctx context.Context, req *Request) (*resolved, error) {
 	default:
 		return nil, badRequest("unknown freq %q (want static or profile)", req.Freq)
 	}
+	return &resolved{prog: prog, pf: pf, settings: *st}, nil
+}
+
+// resolveProgram compiles or decodes the request's program.
+func resolveProgram(req *Request) (*callcost.Program, error) {
+	switch {
+	case req.Source != "" && len(req.IR) > 0:
+		return nil, badRequest("request has both source and ir; send exactly one")
+	case req.Source != "":
+		p, err := callcost.Compile(req.Source)
+		if err != nil {
+			return nil, badRequest("compile: %v", err)
+		}
+		return p, nil
+	case len(req.IR) > 0:
+		p, err := ir.DecodeProgram(req.IR)
+		if err != nil {
+			return nil, badRequest("decode ir: %v", err)
+		}
+		return &callcost.Program{IR: p}, nil
+	default:
+		return nil, badRequest("request needs source or ir")
+	}
+}
+
+// resolveSettings validates the request's configuration and strategy
+// and builds its framework options.
+func resolveSettings(ctx context.Context, req *Request) (*settings, error) {
+	config := machine.NewConfig(req.Config.RI, req.Config.RF, req.Config.EI, req.Config.EF)
+	if !config.Valid() {
+		return nil, badRequest(
+			"configuration %s below the calling-convention minimum (%d,%d,0,0)",
+			config, machine.MinCallerInt, machine.MinCallerFloat)
+	}
+	strat := callcost.Strategies()[req.Strategy]
+	if strat == nil {
+		return nil, badRequest("unknown strategy %q (want one of %v)",
+			req.Strategy, strategyNames())
+	}
 	opts := callcost.DefaultAllocOptions()
 	opts.Ctx = ctx
 	if req.MaxRounds > 0 {
@@ -455,13 +512,13 @@ func resolveAll(ctx context.Context, req *Request) (*resolved, error) {
 		}
 		opts.Pipeline = &pl
 	}
-	return &resolved{prog: prog, config: config, strat: strat, pf: pf, opts: opts}, nil
+	return &settings{config: config, strat: strat, opts: opts, pipeNames: pipelineNames(strat, opts)}, nil
 }
 
 // ReferenceResult computes req's result through the public in-process
 // path — Program.AllocateWithOptions, no result cache, no pool — and
-// renders it with the same encoder as the service. It is the oracle of
-// the differential gates: a served Response.Result must be
+// renders it with the same renderer as the service. It is the oracle
+// of the differential gates: a served Response.Result must be
 // byte-identical to it.
 func ReferenceResult(req *Request) (*Result, error) {
 	rv, err := resolveAll(context.Background(), req)
@@ -475,46 +532,80 @@ func ReferenceResult(req *Request) (*Result, error) {
 	return RenderResult(a, rv.pf), nil
 }
 
+// memoEntry is what an exact repeat of a program needs to be served
+// from cached fragments alone: the digest of each function in program
+// order, and the rendered data section. Function names ride in the
+// fragments.
+type memoEntry struct {
+	digests []resultcache.Digest
+	data    string
+}
+
+// memoKey addresses a request's program for the memo: a SHA-256 over
+// its frequency mode and its source or wire-IR bytes. ok is false when
+// the request does not carry exactly one of the two, or names an
+// unknown frequency mode; such a request takes the full path to its
+// 400.
+func memoKey(req *Request) (key resultcache.Key, ok bool) {
+	var form, mode byte
+	switch {
+	case req.Source != "" && len(req.IR) == 0:
+		form = 's'
+	case req.Source == "" && len(req.IR) > 0:
+		form = 'i'
+	default:
+		return key, false
+	}
+	switch req.Freq {
+	case "", "static":
+		mode = 's'
+	case "profile":
+		mode = 'p'
+	default:
+		return key, false
+	}
+	h := sha256.New()
+	h.Write([]byte{form, mode})
+	if form == 's' {
+		io.WriteString(h, req.Source)
+	} else {
+		h.Write(req.IR)
+	}
+	h.Sum(key[:0])
+	return key, true
+}
+
 // run executes one allocation request on the calling goroutine (a pool
-// worker). It is the request core: resolve inputs, consult the
-// content-addressed cache per function, color what misses.
+// worker). It is the request core: an exact repeat of a program is
+// served from the memo and the cached fragments alone; anything else
+// resolves its inputs, consults the content-addressed cache per
+// function, and colors what misses.
 func (s *Server) run(ctx context.Context, req *Request) (*Response, error) {
+	if req.Trace || req.NoCache {
+		return s.runUncached(ctx, req)
+	}
+	mkey, memoable := memoKey(req)
+	if memoable {
+		if m, ok := s.memo.Get(mkey); ok {
+			if resp, err := s.fromMemo(ctx, req, m); resp != nil || err != nil {
+				return resp, err
+			}
+		}
+		if b := telemetry.B(); b != nil {
+			b.Memo.Misses.Inc()
+		}
+	}
+
 	rv, err := resolveAll(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	prog, config, strat, pf, opts := rv.prog, rv.config, rv.strat, rv.pf, rv.opts
-
-	if req.Trace || req.NoCache {
-		// Uncached requests run the in-process driver on this worker
-		// alone: one request, one pool worker. Traced requests bypass
-		// the cache too — a cached plan has no event stream to replay —
-		// and the one worker keeps the JSONL in program order. When a
-		// span recorder is attached, the traced request also feeds
-		// /spans.
-		opts.Parallel = 1
-		var buf bytes.Buffer
-		if req.Trace {
-			var tracer callcost.Tracer = callcost.NewJSONLSink(&buf)
-			if s.spans != nil {
-				tracer = callcost.MultiSink(tracer, s.spans)
-			}
-			opts = callcost.WithTracer(opts, tracer)
-		}
-		a, aerr := prog.AllocateWithOptions(strat, config, pf, opts)
-		if aerr != nil {
-			return nil, aerr
-		}
-		if req.Trace && s.spans != nil {
-			s.spans.Flush()
-		}
-		return &Response{Result: RenderResult(a, pf), CacheMisses: len(prog.IR.Funcs), Trace: buf.String()}, nil
-	}
-
-	pipeNames := pipelineNames(strat, opts)
-	plans := make(map[string]*rewrite.FuncPlan, len(prog.IR.Funcs))
+	prog, pf := rv.prog, rv.pf
+	n := len(prog.IR.Funcs)
+	frags := make([]*fragment, n)
+	m := &memoEntry{digests: make([]resultcache.Digest, n)}
 	hits, misses := 0, 0
-	for _, fn := range prog.IR.Funcs {
+	for i, fn := range prog.IR.Funcs {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
@@ -522,23 +613,20 @@ func (s *Server) run(ctx context.Context, req *Request) (*Response, error) {
 		if ff == nil {
 			return nil, fmt.Errorf("no frequency info for %s", fn.Name)
 		}
-		key, kerr := resultcache.KeyFor(fn, ff, config, strat.Name(), pipeNames)
-		if kerr != nil {
-			return nil, kerr
+		d, derr := resultcache.FuncDigest(fn, ff)
+		if derr != nil {
+			return nil, derr
 		}
-		plan, hit, err := s.cache.Do(key, func() (*rewrite.FuncPlan, error) {
-			plan, err := prog.PlanFunc(fn, ff, config, strat, opts)
+		key := resultcache.KeyFrom(d, rv.config, rv.strat.Name(), rv.pipeNames)
+		frag, hit, err := s.frags.DoContext(ctx, key, func() (*fragment, error) {
+			if planHook != nil {
+				planHook(fn.Name)
+			}
+			plan, err := prog.PlanFunc(fn, ff, rv.config, rv.strat, rv.opts)
 			if err != nil {
 				return nil, err
 			}
-			// The cached plan keeps only what rendering needs (the
-			// rewritten body, colors, slots, save/restore tables); the
-			// per-round analysis artifacts are dropped so resident
-			// entries stay small.
-			plan.Alloc.Ranges = nil
-			plan.Alloc.Live = nil
-			plan.Alloc.Graphs = [ir.NumClasses]*interference.Graph{}
-			return plan, nil
+			return renderFragment(plan, ff, rv.config), nil
 		})
 		if err != nil {
 			return nil, err
@@ -548,45 +636,73 @@ func (s *Server) run(ctx context.Context, req *Request) (*Response, error) {
 		} else {
 			misses++
 		}
-		plans[fn.Name] = plan
+		frags[i], m.digests[i] = frag, d
 	}
-	a := &callcost.Allocation{Program: prog, Config: config, Strategy: strat.Name(), Plans: plans}
-	return &Response{Result: RenderResult(a, pf), CacheHits: hits, CacheMisses: misses}, nil
+	m.data = codegen.Data(prog.IR)
+	if memoable {
+		s.memo.Put(mkey, m)
+	}
+	return &Response{Result: assemble(rv.strat.Name(), rv.config, m.data, frags), CacheHits: hits, CacheMisses: misses}, nil
 }
 
-// resolve validates the request's program, configuration, and strategy.
-func resolve(req *Request) (*callcost.Program, machine.Config, callcost.Strategy, error) {
-	var prog *callcost.Program
-	switch {
-	case req.Source != "" && len(req.IR) > 0:
-		return nil, machine.Config{}, nil, badRequest("request has both source and ir; send exactly one")
-	case req.Source != "":
-		p, err := callcost.Compile(req.Source)
-		if err != nil {
-			return nil, machine.Config{}, nil, badRequest("compile: %v", err)
+// planHook, when non-nil, runs at the start of every fragment compute
+// with the function's name — a test seam that lets the panic tests
+// fail a compute on demand.
+var planHook func(fn string)
+
+// fromMemo serves an exact repeat of a memoized program: the request's
+// settings are validated as usual, and each function's fragment is
+// looked up by the digest the memo kept — no compile, IR decode,
+// frequencies or IR hashing. It returns nil and no error when a
+// fragment has been evicted; the caller then takes the full path.
+func (s *Server) fromMemo(ctx context.Context, req *Request, m *memoEntry) (*Response, error) {
+	st, err := resolveSettings(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	frags := make([]*fragment, len(m.digests))
+	for i, d := range m.digests {
+		f, ok := s.frags.Get(resultcache.KeyFrom(d, st.config, st.strat.Name(), st.pipeNames))
+		if !ok {
+			return nil, nil
 		}
-		prog = p
-	case len(req.IR) > 0:
-		p, err := ir.DecodeProgram(req.IR)
-		if err != nil {
-			return nil, machine.Config{}, nil, badRequest("decode ir: %v", err)
+		frags[i] = f
+	}
+	if b := telemetry.B(); b != nil {
+		b.Memo.Hits.Inc()
+		b.Results.Hits.Add(int64(len(frags)))
+	}
+	return &Response{Result: assemble(st.strat.Name(), st.config, m.data, frags), CacheHits: len(frags)}, nil
+}
+
+// runUncached runs the in-process driver on this worker alone: one
+// request, one pool worker. Traced requests bypass the cache too — a
+// cached fragment has no event stream to replay — and the one worker
+// keeps the JSONL in program order. When a span recorder is attached,
+// the traced request also feeds /spans.
+func (s *Server) runUncached(ctx context.Context, req *Request) (*Response, error) {
+	rv, err := resolveAll(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	opts := rv.opts
+	opts.Parallel = 1
+	var buf bytes.Buffer
+	if req.Trace {
+		var tracer callcost.Tracer = callcost.NewJSONLSink(&buf)
+		if s.spans != nil {
+			tracer = callcost.MultiSink(tracer, s.spans)
 		}
-		prog = &callcost.Program{IR: p}
-	default:
-		return nil, machine.Config{}, nil, badRequest("request needs source or ir")
+		opts = callcost.WithTracer(opts, tracer)
 	}
-	config := machine.NewConfig(req.Config.RI, req.Config.RF, req.Config.EI, req.Config.EF)
-	if !config.Valid() {
-		return nil, machine.Config{}, nil, badRequest(
-			"configuration %s below the calling-convention minimum (%d,%d,0,0)",
-			config, machine.MinCallerInt, machine.MinCallerFloat)
+	a, err := rv.prog.AllocateWithOptions(rv.strat, rv.config, rv.pf, opts)
+	if err != nil {
+		return nil, err
 	}
-	strat := callcost.Strategies()[req.Strategy]
-	if strat == nil {
-		return nil, machine.Config{}, nil, badRequest("unknown strategy %q (want one of %v)",
-			req.Strategy, strategyNames())
+	if req.Trace && s.spans != nil {
+		s.spans.Flush()
 	}
-	return prog, config, strat, nil
+	return &Response{Result: RenderResult(a, rv.pf), CacheMisses: len(rv.prog.IR.Funcs), Trace: buf.String()}, nil
 }
 
 // pipelineNames resolves the pass-pipeline names for the cache key:

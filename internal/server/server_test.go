@@ -417,3 +417,104 @@ func TestHealthzAndTelemetryMounts(t *testing.T) {
 		t.Fatalf("/metrics status %d body %s", mresp.StatusCode, buf.String())
 	}
 }
+
+// TestManyUnusedRegisters: a wire-IR body whose one function declares
+// 400,000 registers it never uses gets a 200 whose Result equals the
+// oracle's. Each bank's interference matrix is sized by the registers
+// that occur; sized by every declared register, it would ask for 10 GB.
+func TestManyUnusedRegisters(t *testing.T) {
+	prog, err := callcost.Compile("int main() { int a = 3; int b = a * 7; return a + b; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := prog.IR.Funcs[0]
+	for i := 0; i < 400_000; i++ {
+		main.NewReg(ir.ClassInt, "")
+	}
+	wire, err := ir.EncodeProgram(prog.IR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := allocReq()
+	req.Source, req.IR = "", wire
+	want, err := ReferenceResult(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+
+	_, ts := newTestServer(t, Options{})
+	code, body := post(t, ts.URL+"/allocate", req)
+	if code != 200 {
+		t.Fatalf("status %d: %.300s", code, body)
+	}
+	var resp Response
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(resp.Result); !bytes.Equal(got, wantJSON) {
+		t.Fatalf("served result differs from ReferenceResult:\nserved: %.300s\noracle: %.300s", got, wantJSON)
+	}
+}
+
+// TestPanickingPlanAnswers500: a fragment compute that panics answers
+// its request, and a concurrent request for the same program, with a
+// 500 counted in server_errors_total; the function stays uncached, and
+// the daemon serves the next request with a 200 that matches the
+// oracle.
+func TestPanickingPlanAnswers500(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	_, ts := newTestServer(t, Options{QueueSize: 8, Registry: reg})
+	entered := make(chan struct{}, 8)
+	release := make(chan struct{})
+	planHook = func(fn string) {
+		if fn == "hot" {
+			entered <- struct{}{}
+			<-release
+			panic("injected")
+		}
+	}
+	defer func() { planHook = nil }()
+
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			code, _ := post(t, ts.URL+"/allocate", allocReq())
+			codes <- code
+		}()
+	}
+	<-entered
+	time.Sleep(20 * time.Millisecond) // let the second request reach hot
+	close(release)
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d, want 500", i, code)
+		}
+	}
+	if n := reg.Snapshot().Counters["server_errors_total"]; n != 2 {
+		t.Fatalf("server_errors_total = %d, want 2", n)
+	}
+
+	planHook = nil
+	code, body := post(t, ts.URL+"/allocate", allocReq())
+	if code != 200 {
+		t.Fatalf("after the panics: status %d: %s", code, body)
+	}
+	var resp Response
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	// leaf was cached before hot panicked; hot and main were not.
+	if resp.CacheHits != 1 || resp.CacheMisses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 1/2 (a panicked compute is never cached)", resp.CacheHits, resp.CacheMisses)
+	}
+	req := allocReq()
+	want, err := ReferenceResult(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+	if got, _ := json.Marshal(resp.Result); !bytes.Equal(got, wantJSON) {
+		t.Fatal("result after the panics differs from ReferenceResult")
+	}
+}

@@ -85,15 +85,18 @@ type Builtin struct {
 
 	// Content-addressed result cache (internal/resultcache).
 
-	// ResultHits / ResultMisses count allocation requests served from a
-	// completed cached allocation vs. having to color
-	// (result_cache_hits_total, result_cache_misses_total);
-	// ResultEvictions counts entries the LRU bound pushed out
-	// (result_cache_evictions_total). ResultEntries is the current
-	// resident entry count (result_cache_entries).
-	ResultHits, ResultMisses, ResultEvictions *Counter
-	// ResultEntries is the result cache's resident-entry gauge.
-	ResultEntries *Gauge
+	// Results meters the per-function result cache: functions served
+	// from a completed cached allocation vs. having to color
+	// (result_cache_hits_total, result_cache_misses_total), entries the
+	// LRU bound pushed out (result_cache_evictions_total), and the
+	// resident entries and their bytes (result_cache_entries,
+	// result_cache_bytes).
+	Results CacheMeters
+	// Memo meters the daemon's program memo: requests answered without
+	// running the front end vs. not (result_memo_hits_total,
+	// result_memo_misses_total), plus its evictions and resident entries
+	// (result_memo_evictions_total, result_memo_entries).
+	Memo CacheMeters
 
 	// Worker pool (internal/par).
 
@@ -128,6 +131,13 @@ type Builtin struct {
 	phase map[string]*Histogram
 }
 
+// CacheMeters are the instruments of one bounded cache. A nil handle
+// is a no-op, so a cache leaves unmetered what it does not track.
+type CacheMeters struct {
+	Hits, Misses, Evictions *Counter
+	Entries, Bytes          *Gauge
+}
+
 // PhaseBuckets are the upper bounds, in microseconds, of the per-phase
 // wall-time histograms.
 var PhaseBuckets = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 50000}
@@ -159,29 +169,38 @@ func phaseMetricName(phase string) string {
 // newBuiltin registers the well-known instruments on r.
 func newBuiltin(r *Registry) *Builtin {
 	b := &Builtin{
-		Reg:                  r,
-		AllocFuncs:           r.Counter("alloc_funcs_total"),
-		AllocRounds:          r.Counter("alloc_rounds_total"),
-		SpilledRegs:          r.Counter("alloc_spilled_regs_total"),
-		Rounds:               r.Histogram("alloc_rounds", RoundsBuckets),
-		PassRuns:             r.Counter("pass_runs_total"),
-		ScanRounds:           r.Counter("alloc_scan_rounds_total"),
-		ScanHoleAssigns:      r.Counter("alloc_scan_hole_assigns_total"),
-		ScanSecondChance:     r.Counter("alloc_scan_second_chance_total"),
-		ColorRounds:          r.Counter("alloc_color_rounds_total"),
-		HybridEscalations:    r.Counter("hybrid_escalations_total"),
-		PrepLiveHits:         r.Counter("prep_live_hits_total"),
-		PrepLiveMisses:       r.Counter("prep_live_misses_total"),
-		PrepGraphHits:        r.Counter("prep_graph_hits_total"),
-		PrepGraphMisses:      r.Counter("prep_graph_misses_total"),
-		Snapshots:            r.Counter("cow_snapshots_total"),
-		SnapshotPrivatized:   r.Counter("cow_privatized_total"),
-		PoolGets:             r.Counter("pool_simplifier_gets_total"),
-		PoolNews:             r.Counter("pool_simplifier_news_total"),
-		ResultHits:           r.Counter("result_cache_hits_total"),
-		ResultMisses:         r.Counter("result_cache_misses_total"),
-		ResultEvictions:      r.Counter("result_cache_evictions_total"),
-		ResultEntries:        r.Gauge("result_cache_entries"),
+		Reg:                r,
+		AllocFuncs:         r.Counter("alloc_funcs_total"),
+		AllocRounds:        r.Counter("alloc_rounds_total"),
+		SpilledRegs:        r.Counter("alloc_spilled_regs_total"),
+		Rounds:             r.Histogram("alloc_rounds", RoundsBuckets),
+		PassRuns:           r.Counter("pass_runs_total"),
+		ScanRounds:         r.Counter("alloc_scan_rounds_total"),
+		ScanHoleAssigns:    r.Counter("alloc_scan_hole_assigns_total"),
+		ScanSecondChance:   r.Counter("alloc_scan_second_chance_total"),
+		ColorRounds:        r.Counter("alloc_color_rounds_total"),
+		HybridEscalations:  r.Counter("hybrid_escalations_total"),
+		PrepLiveHits:       r.Counter("prep_live_hits_total"),
+		PrepLiveMisses:     r.Counter("prep_live_misses_total"),
+		PrepGraphHits:      r.Counter("prep_graph_hits_total"),
+		PrepGraphMisses:    r.Counter("prep_graph_misses_total"),
+		Snapshots:          r.Counter("cow_snapshots_total"),
+		SnapshotPrivatized: r.Counter("cow_privatized_total"),
+		PoolGets:           r.Counter("pool_simplifier_gets_total"),
+		PoolNews:           r.Counter("pool_simplifier_news_total"),
+		Results: CacheMeters{
+			Hits:      r.Counter("result_cache_hits_total"),
+			Misses:    r.Counter("result_cache_misses_total"),
+			Evictions: r.Counter("result_cache_evictions_total"),
+			Entries:   r.Gauge("result_cache_entries"),
+			Bytes:     r.Gauge("result_cache_bytes"),
+		},
+		Memo: CacheMeters{
+			Hits:      r.Counter("result_memo_hits_total"),
+			Misses:    r.Counter("result_memo_misses_total"),
+			Evictions: r.Counter("result_memo_evictions_total"),
+			Entries:   r.Gauge("result_memo_entries"),
+		},
 		ParLoops:             r.Counter("par_loops_total"),
 		ParTasks:             r.Counter("par_tasks_total"),
 		ParQueueDepth:        r.Gauge("par_queue_depth"),

@@ -66,3 +66,41 @@ func BenchmarkServerAllocate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServerPartialHit measures a request whose program the daemon
+// has never seen but whose helper functions it has cached: every
+// iteration sends a new main beside the shared helpers of
+// partialHitProgram, so the front end runs and one function of four is
+// colored.
+func BenchmarkServerPartialHit(b *testing.B) {
+	s := server.New(server.Options{QueueSize: 256})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	client := &http.Client{}
+	post := func(i int) {
+		body, err := json.Marshal(&server.Request{
+			Source:   partialHitProgram(i),
+			Config:   server.ConfigRequest{RI: 8, RF: 6, EI: 4, EF: 4},
+			Strategy: "improved",
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+"/allocate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d: %v %s", resp.StatusCode, err, raw)
+		}
+	}
+	post(-1) // cache the helpers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(i)
+	}
+}

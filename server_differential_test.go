@@ -13,6 +13,7 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/ir"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // serverStrategies are the strategy tiers the service differential
@@ -159,6 +160,111 @@ func TestServerWireIRMatchesSource(t *testing.T) {
 						fromWire.CacheMisses)
 				}
 			})
+		}
+	}
+}
+
+// partialHitHelpers are functions that every partialHitProgram shares.
+const partialHitHelpers = `
+int table[32];
+int scale(int x) { int i; int s = 0; for (i = 0; i < x; i = i + 1) { s = s + i * x; } return s; }
+int mix(int a, int b) { table[a % 32] = a * b; return table[(a + b) % 32] + scale(a); }
+float blend(float a, float b) { float t = a * 0.25; return t + b * 0.75; }
+`
+
+// partialHitProgram is program i: the shared helpers and a main of its
+// own.
+func partialHitProgram(i int) string {
+	return partialHitHelpers + fmt.Sprintf(
+		"int main() { int k = %d; int r = mix(k, k + 1) + scale(k %% 7); if (blend(1.0, 2.0) > 1.5) { r = r + 1; } return r; }\n", i)
+}
+
+// TestServerPartialHits: programs that share helper functions but
+// differ in main, sent first as source (cold), then as wire IR
+// (partial: the memo has never seen those bytes, yet every function is
+// cached), then as source again (warm: exact repeats). Every served
+// Result byte-equals ReferenceResult, and the per-function and memo
+// counters are exact: helpers hit after their first program, the
+// wire forms are all hits with a memo miss each, and the warm repeats
+// are memo hits.
+func TestServerPartialHits(t *testing.T) {
+	b := telemetry.Enable(nil)
+	defer telemetry.Disable()
+	s := server.New(server.Options{QueueSize: 64})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	client := &http.Client{}
+
+	const programs, helpers = 4, 3
+	config := server.ConfigRequest{RI: 8, RF: 6, EI: 4, EF: 4}
+	source := make([]server.Request, programs)
+	wire := make([]server.Request, programs)
+	want := make([][]byte, programs)
+	for i := range source {
+		source[i] = server.Request{Source: partialHitProgram(i), Config: config, Strategy: "improved"}
+		prog, err := callcost.Compile(source[i].Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := ir.EncodeProgram(prog.IR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire[i] = server.Request{IR: enc, Config: config, Strategy: "improved"}
+		res, err := server.ReferenceResult(&source[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	counters := func() map[string]int64 {
+		c := b.Reg.Snapshot().Counters
+		return map[string]int64{
+			"hits": c["result_cache_hits_total"], "misses": c["result_cache_misses_total"],
+			"memo hits": c["result_memo_hits_total"], "memo misses": c["result_memo_misses_total"],
+		}
+	}
+	passes := []struct {
+		name     string
+		reqs     []server.Request
+		hits     func(i int) int
+		memoHits int64
+	}{
+		{"cold", source, func(i int) int { return min(i, 1) * helpers }, 0},
+		{"partial", wire, func(int) int { return helpers + 1 }, 0},
+		{"warm", source, func(int) int { return helpers + 1 }, programs},
+	}
+	for _, pass := range passes {
+		before := counters()
+		wantHits := 0
+		for i := range pass.reqs {
+			resp := postAllocate(t, client, ts.URL, &pass.reqs[i])
+			got, err := json.Marshal(resp.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("%s program %d: served result differs from ReferenceResult", pass.name, i)
+			}
+			if resp.CacheHits != pass.hits(i) || resp.CacheMisses != helpers+1-pass.hits(i) {
+				t.Errorf("%s program %d: hits=%d misses=%d, want %d/%d", pass.name, i,
+					resp.CacheHits, resp.CacheMisses, pass.hits(i), helpers+1-pass.hits(i))
+			}
+			wantHits += pass.hits(i)
+		}
+		after := counters()
+		wantDelta := map[string]int64{
+			"hits": int64(wantHits), "misses": int64(programs*(helpers+1) - wantHits),
+			"memo hits": pass.memoHits, "memo misses": programs - pass.memoHits,
+		}
+		for name, d := range wantDelta {
+			if got := after[name] - before[name]; got != d {
+				t.Errorf("%s pass: %s counter moved by %d, want %d", pass.name, name, got, d)
+			}
 		}
 	}
 }
